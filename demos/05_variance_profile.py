@@ -11,7 +11,7 @@ x * Q * log x once Q is within a power-of-log window of x.
 
 import math
 
-from normvar import dyadic_profile, grh_compare, orthogonality_check, parse_field, variance
+from normvar import orthogonality_check, parse_field, variance
 
 field = parse_field("quad:-1")
 x, Q = 10**5, 10**4
@@ -34,15 +34,14 @@ for r in leaders:
 # Dyadic profile: contributions grouped by octave Q/2^(k+1) < q <= Q/2^k,
 # with everything below (log x)^(M+1) pooled into one small-q block.
 print("\ndyadic profile (fraction of V per block)")
-for block in dyadic_profile(report):
+for block in report.dyadic:
     share = block.contribution / report.total
     print(f"  ({block.u_lo:9.2f}, {block.u_hi:9.2f}]  {share:6.1%}")
 
 # Conditional-bound comparison: x Q log x is stronger than the
 # x Q log^4 x envelope by exactly (log x)^3.
-cmp = grh_compare(report)
-print(f"\nclassical envelope ratio: {cmp.ratio_bdh:.4f}")
-print(f"heuristic envelope ratio: {cmp.ratio_grh:.6f}")
+print(f"\nclassical envelope ratio: {report.ratio_bdh:.4f}")
+print(f"heuristic envelope ratio: {report.ratio_grh:.6f}")
 print(f"their quotient equals (log x)^3 = {math.log(x) ** 3:.1f}")
 
 # The per-q computation is backed by an exact character identity: sum of

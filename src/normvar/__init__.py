@@ -49,7 +49,6 @@ from .galois import (
 from .stats import (
     DyadicBlock,
     ExchangeDiff,
-    GrhComparison,
     LargeSieveResult,
     OrthogonalityResult,
     PerQContribution,
@@ -59,8 +58,6 @@ from .stats import (
     centered_character_sum,
     character_sum,
     class_errors,
-    dyadic_profile,
-    grh_compare,
     large_sieve_check,
     orthogonality_check,
     primitive_exchange_diff,
@@ -105,7 +102,6 @@ __all__ = [
     "subfield_conductor",
     "DyadicBlock",
     "ExchangeDiff",
-    "GrhComparison",
     "LargeSieveResult",
     "OrthogonalityResult",
     "PerQContribution",
@@ -115,8 +111,6 @@ __all__ = [
     "centered_character_sum",
     "character_sum",
     "class_errors",
-    "dyadic_profile",
-    "grh_compare",
     "large_sieve_check",
     "orthogonality_check",
     "primitive_exchange_diff",

@@ -4,7 +4,8 @@ Four subcommands: `variance` (full report), `checks` (identity and
 oracle suites with machine-readable pass/fail), `gq` (admissible-class
 table), `dump-events` (raw event CSV).  Reports go to --out or stdout;
 human-readable status lines go to stderr.  Exit status is 0 iff every
-executed check passed, 1 on a check failure, 2 on bad usage.
+executed check passed, 1 on a check failure, 2 on bad usage or an I/O
+error such as an unwritable --out path.
 """
 
 from __future__ import annotations
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,18 +2,31 @@
 
 Three field families are supported: the rationals, quadratic fields
 Q(sqrt(d)) for squarefree d, and cyclotomic fields Q(zeta_m).  Each is
-abelian over Q, so a rational prime p splits into g primes of common
-residue degree f and ramification index e with e * f * g equal to the
-field degree, and (e, f, g) depends only on p through congruence data.
+abelian, so it is the fixed field inside Q(zeta_m) of a subgroup H of
+(Z/mZ)^*, where m is its conductor:
+
+  * rationals: m = 1 and H = {0};
+  * quad:d with discriminant D: m = |D| and H = {r : kronecker(D, r) = 1};
+  * cyclo:m: H = {1}.
+
+This module is the only one that knows the families; everything else
+reads a field through its conductor, its degree and `kernel_image`.
+For a prime p, let m' be m with its p-part removed and H' the image of
+H modulo m'.  Then p splits into g primes of residue degree f = order
+of p in (Z/m'Z)^*/H' and ramification index
+e = degree / [(Z/m'Z)^* : H'], with e * f * g equal to the degree.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from .arith import euler_phi, is_squarefree, kronecker, multiplicative_order, valuation, factorize
+import numpy as np
+
+from .arith import divisors, euler_phi, factorize, is_squarefree, kronecker, valuation
 
 RATIONAL = "rational"
 QUADRATIC = "quadratic"
@@ -114,27 +127,59 @@ def parse_field(text: str) -> FieldSpec:
     return cyclotomic_field(int(match.group(3)))
 
 
-def split_type(field: FieldSpec, p: int) -> SplitData:
-    """Splitting data (e, f, g) of the rational prime p in the field.
+@lru_cache(maxsize=1024)
+def kernel_image(field: FieldSpec, g: int) -> np.ndarray:
+    """Read-only mask over 0..g-1 of the image of H modulo g, for g | conductor.
 
-    For quadratic fields this is read off the Kronecker symbol of the
-    discriminant; for Q(zeta_m) with m = p^a * m', the residue degree is
-    the order of p modulo m' and e = phi(p^a).
+    With g equal to the conductor this is H itself.
     """
+    m = field.conductor
+    if g != m:
+        image = np.zeros(g, dtype=bool)
+        image[np.flatnonzero(kernel_image(field, m)) % g] = True
+    elif field.variant == QUADRATIC:
+        image = np.array([kronecker(field.discriminant, r) == 1 for r in range(m)], dtype=bool)
+    else:  # the rationals (m = 1) and cyclo:m both have H = {1 mod m}
+        image = np.arange(m) == 1 % m
+    image.setflags(write=False)
+    return image
+
+
+def _pow_mod(base: np.ndarray, e: int, m: int) -> np.ndarray:
+    """Elementwise base**e mod m for residues below m; exact while m*m fits in int64."""
+    out = np.full(base.shape, 1 % m, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out * base % m
+        base = base * base % m
+        e >>= 1
+    return out
+
+
+@lru_cache(maxsize=16)
+def residue_degrees(field: FieldSpec) -> np.ndarray:
+    """Residue degree f of every unramified prime, indexed by p mod conductor.
+
+    f is the least divisor d of the degree with p^d in H; entries at
+    residues that are not units stay 0.
+    """
+    m = field.conductor
+    kernel = kernel_image(field, m)
+    res = np.arange(m, dtype=np.int64)
+    f = np.zeros(m, dtype=np.int64)
+    for d in divisors(field.degree):
+        f[(f == 0) & kernel[_pow_mod(res, d, m)]] = d
+    f.setflags(write=False)
+    return f
+
+
+def split_type(field: FieldSpec, p: int) -> SplitData:
+    """Splitting data (e, f, g) of the rational prime p in the field."""
     if p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p}")
-    if field.variant == RATIONAL:
-        return SplitData(1, 1, 1)
-    if field.variant == QUADRATIC:
-        if field.discriminant % p == 0:
-            return SplitData(2, 1, 1)
-        if kronecker(field.discriminant, p) == 1:
-            return SplitData(1, 1, 2)
-        return SplitData(1, 2, 1)
-    m = field.parameter
-    a = valuation(m, p) if m % p == 0 else 0
-    m_prime = m // p**a
-    e = euler_phi(p**a)
-    f = multiplicative_order(p, m_prime) if m_prime > 1 else 1
-    g = euler_phi(m_prime) // f
-    return SplitData(e, f, g)
+    m_prime = field.conductor // p ** valuation(field.conductor, p)
+    image = kernel_image(field, m_prime)
+    index = euler_phi(m_prime) // int(np.count_nonzero(image))
+    e = field.degree // index
+    f = next(d for d in divisors(index) if image[pow(p, d, m_prime)])
+    return SplitData(e, f, field.degree // (e * f))

@@ -1,20 +1,17 @@
 """Admissible norm-residue classes modulo q and their character annihilator.
 
 For an abelian base field, the residues modulo q that occur as norms of
-prime-ideal powers coprime to q form a subgroup of (Z/qZ)^*.  It has a
-closed form per field family:
+prime-ideal powers coprime to q form a subgroup of (Z/qZ)^*.  With m the
+field's conductor, H its kernel in (Z/mZ)^* and g = gcd(m, q), that
+subgroup is the set of units modulo q whose residue modulo g lies in the
+image of H modulo g (`fields.kernel_image`).  Its conductor inside
+Q(zeta_q) is the least d | g such that every unit a = 1 (mod d) lies in
+that image.
 
-  * rationals: the whole unit group;
-  * quadratic field of conductor c: when c | q, the index-2 kernel of
-    the discriminant's Kronecker character; otherwise everything;
-  * Q(zeta_m): units congruent to 1 modulo g0, where g0 = gcd(m, q)
-    canonicalized (g0 = 2 mod 4 is replaced by g0 / 2).
-
-The degenerate moduli q in {1, 2} carry the trivial group.  Next to the
-closed form there is an empirical construction, the multiplicative
-closure of actually observed norm residues p^f mod q over primes up to a
-bound; the two must agree once the bound is large enough, and tests
-treat the empirical group as ground truth.
+Next to the closed form there is an empirical construction, the
+multiplicative closure of actually observed norm residues p^f mod q over
+primes up to a bound; the two must agree once the bound is large enough,
+and tests treat the empirical group as ground truth.
 """
 
 from __future__ import annotations
@@ -25,10 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import divisors, euler_phi
 from .characters import DirichletCharacter, enumerate_characters, unit_group, _phase_coeffs
-from .fields import CYCLOTOMIC, QUADRATIC, FieldSpec, split_type
-from .sieve import primes_up_to, _sign_table
+from .fields import FieldSpec, kernel_image, residue_degrees
+from .sieve import primes_up_to
 
 
 @dataclass(frozen=True)
@@ -52,27 +49,16 @@ class NormClassGroup:
     annihilator: tuple[int, ...]
 
 
-def _canonical_gcd(m: int, q: int) -> int:
-    g0 = math.gcd(m, q)
-    if g0 % 4 == 2:
-        g0 //= 2
-    return g0
-
-
 def residue_masks(field: FieldSpec, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks over 0..q-1: (admissible classes, units)."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     res = np.arange(q, dtype=np.int64)
     coprime = np.gcd(res, q) == 1
-    if field.variant == QUADRATIC and q % field.conductor == 0:
-        member = coprime & (_sign_table(field.discriminant)[res % field.conductor] == 1)
-    elif field.variant == CYCLOTOMIC:
-        g0 = _canonical_gcd(field.parameter, q)
-        member = coprime & (res % g0 == 1 % g0)
-    else:
-        member = coprime
-    return member, coprime
+    g = math.gcd(field.conductor, q)
+    if _image_conductor(field, g) == 1:
+        return coprime, coprime
+    return coprime & kernel_image(field, g)[res % g], coprime
 
 
 def admissible_count(field: FieldSpec, q: int) -> int:
@@ -83,11 +69,14 @@ def admissible_count(field: FieldSpec, q: int) -> int:
 
 def subfield_conductor(field: FieldSpec, q: int) -> int:
     """Conductor of the subfield the classes cut out inside Q(zeta_q)."""
-    if field.variant == QUADRATIC and q % field.conductor == 0:
-        return field.conductor
-    if field.variant == CYCLOTOMIC:
-        return _canonical_gcd(field.parameter, q)
-    return 1
+    return _image_conductor(field, math.gcd(field.conductor, q))
+
+
+@lru_cache(maxsize=1024)
+def _image_conductor(field: FieldSpec, g: int) -> int:
+    image = kernel_image(field, g)
+    units = np.flatnonzero(np.gcd(np.arange(g), g) == 1)
+    return next(d for d in divisors(g) if image[units[units % d == 1 % d]].all())
 
 
 @lru_cache(maxsize=1024)
@@ -124,17 +113,18 @@ def annihilates(field: FieldSpec, chi: DirichletCharacter) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _norm_generator_data(field: FieldSpec, prime_bound: int):
+def _norm_generator_data(field: FieldSpec, prime_bound: int) -> tuple[list[int], list[int]]:
+    """Unramified primes p <= prime_bound and their residue degrees."""
     primes = primes_up_to(prime_bound)
-    degrees = np.array([split_type(field, int(p)).f for p in primes], dtype=np.int64)
-    return primes, degrees
+    primes = primes[field.conductor % primes != 0]
+    return primes.tolist(), residue_degrees(field)[primes % field.conductor].tolist()
 
 
 def norm_class_closure(field: FieldSpec, q: int, prime_bound: int = 10_000) -> tuple[int, ...]:
     """Empirical admissible classes: closure of observed norm residues.
 
     Multiplies out the subgroup generated by p^f mod q over primes
-    p <= prime_bound with p coprime to both q and the field discriminant.
+    p <= prime_bound with p coprime to both q and the field conductor.
     Converges to the closed form for a modest bound; if it still looks
     like a proper subset the bound was too small.
     """
@@ -142,12 +132,11 @@ def norm_class_closure(field: FieldSpec, q: int, prime_bound: int = 10_000) -> t
         raise ValueError(f"modulus must be >= 1, got {q}")
     if q == 1:
         return (0,)
-    primes, degrees = _norm_generator_data(field, prime_bound)
     subgroup = {1}
-    for p, f in zip(primes.tolist(), degrees.tolist()):
-        if q % p == 0 or field.discriminant % p == 0:
+    for p, f in zip(*_norm_generator_data(field, prime_bound)):
+        if q % p == 0:
             continue
-        gen = pow(p, int(f), q)
+        gen = pow(p, f, q)
         if gen in subgroup:
             continue
         # abelian subgroup extension: adjoin the cosets of <gen>

@@ -6,11 +6,13 @@ with splitting data (e, f, g), powers of the g primes above p all have
 norms p^(f*j), so an event exists exactly when f divides k; it carries
 multiplicity dk = g (the number of ideal powers of that norm) and log
 weight lam = f * log p (the norm's "von Mangoldt" size, log of the norm
-of the underlying prime ideal).  Ramified primes contribute through
-their single reduced residue degree the same way.
+of the underlying prime ideal).  Ramified primes, the divisors of the
+conductor, contribute through their own (e, f, g) the same way.
 
-Events are generated per splitting class with numpy, so building the
-table at x = 10^6 takes milliseconds.
+For unramified p, f depends only on p modulo the conductor, so it is
+read from one table (`fields.residue_degrees`) and events are generated
+per residue degree with numpy; building the table at x = 10^6 takes
+milliseconds.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import factorize, int_kth_root, kronecker, multiplicative_order
-from .fields import CYCLOTOMIC, QUADRATIC, RATIONAL, FieldSpec, split_type
+from .arith import factorize, int_kth_root
+from .fields import FieldSpec, residue_degrees, split_type
 
 MAX_SIEVE_LIMIT = 1 << 40
 DEFAULT_SEGMENT_SIZE = 1 << 20
@@ -132,24 +134,17 @@ class NormEventTable:
         return self._weight
 
 
-@lru_cache(maxsize=32)
-def _sign_table(disc: int) -> np.ndarray:
-    """Kronecker symbol of disc at each residue modulo |disc|."""
-    c = abs(disc)
-    return np.array([kronecker(disc, r) for r in range(c)], dtype=np.int64)
-
-
 def _event_arrays(x: int, primes: np.ndarray, f: int, g: int, parts: list) -> None:
-    """Append event rows for every p in `primes` and every k = f*j <= log_p(x)."""
+    """Append event rows for every p in ascending `primes` and every k = f*j <= log_p(x)."""
     j = 1
     while True:
         k = f * j
         bound = int_kth_root(x, k)
         if bound < 2:
             break
-        sel = primes[primes <= bound]
+        sel = primes[: np.searchsorted(primes, bound, side="right")]
         if sel.size:
-            n = sel**k if k > 1 else sel.copy()
+            n = sel**k if k > 1 else sel
             lam = f * np.log(sel.astype(np.float64))
             ks = np.full(sel.size, k, dtype=np.int64)
             gs = np.full(sel.size, g, dtype=np.int64)
@@ -157,33 +152,25 @@ def _event_arrays(x: int, primes: np.ndarray, f: int, g: int, parts: list) -> No
         j += 1
 
 
+def _event_parts(field: FieldSpec, x: int, segment_size: int) -> list:
+    """Event columns per residue degree; the temporaries die before sorting."""
+    primes = primes_up_to(x, segment_size)
+    # f is 0 exactly at the ramified primes, the divisors of the conductor
+    f_of_p = residue_degrees(field)[primes % field.conductor]
+    parts: list = []
+    for f in np.unique(f_of_p).tolist():
+        if f:
+            _event_arrays(x, primes[f_of_p == f], f, field.degree // f, parts)
+    for p in factorize(field.conductor):
+        if p <= x:
+            s = split_type(field, p)
+            _event_arrays(x, np.array([p], dtype=np.int64), s.f, s.g, parts)
+    return parts
+
+
 @lru_cache(maxsize=16)
 def _event_table(field: FieldSpec, x: int, segment_size: int) -> NormEventTable:
-    primes = primes_up_to(x, segment_size)
-    parts: list = []
-    if field.variant == RATIONAL:
-        _event_arrays(x, primes, 1, 1, parts)
-    elif field.variant == QUADRATIC:
-        sgn = _sign_table(field.discriminant)[primes % field.conductor]
-        _event_arrays(x, primes[sgn == 0], 1, 1, parts)  # ramified
-        _event_arrays(x, primes[sgn == 1], 1, 2, parts)  # split
-        _event_arrays(x, primes[sgn == -1], 2, 1, parts)  # inert
-    else:
-        m = field.parameter
-        ram = np.array(sorted(factorize(m)), dtype=np.int64)
-        unram = primes[~np.isin(primes, ram)]
-        # residue degree of an unramified p depends only on p mod m
-        ords = np.zeros(m, dtype=np.int64)
-        for r in range(1, m):
-            if math.gcd(r, m) == 1:
-                ords[r] = multiplicative_order(r, m)
-        f_of_p = ords[unram % m]
-        for f in sorted(set(f_of_p.tolist())):
-            _event_arrays(x, unram[f_of_p == f], f, field.degree // f, parts)
-        for p in ram.tolist():
-            if p <= x:
-                s = split_type(field, p)
-                _event_arrays(x, np.array([p], dtype=np.int64), s.f, s.g, parts)
+    parts = _event_parts(field, x, segment_size)
     if parts:
         n = np.concatenate([a[0] for a in parts])
         order = np.argsort(n, kind="stable")
@@ -212,6 +199,7 @@ def norm_events(
     return _event_table(field, int(x), int(segment_size))
 
 
+@lru_cache(maxsize=16)
 def event_moment_sums(field: FieldSpec, x: int) -> tuple[float, float]:
     """First and second moments of event weights: sums of dk*lam and (dk*lam)^2.
 
@@ -219,5 +207,6 @@ def event_moment_sums(field: FieldSpec, x: int) -> tuple[float, float]:
     asymptotic to x; the second moment is the right-hand-side weight of
     the large-sieve bound.
     """
-    w = norm_events(field, x).weight.tolist()
+    # iterate the array itself: a list of every weight would set the peak RSS
+    w = norm_events(field, x).weight
     return math.fsum(w), math.fsum(v * v for v in w)

@@ -260,36 +260,6 @@ def variance(
     )
 
 
-def dyadic_profile(report: VarianceReport) -> tuple[DyadicBlock, ...]:
-    """Dyadic decomposition of the variance; blocks partition (0, Q]."""
-    return report.dyadic
-
-
-@dataclass(frozen=True)
-class GrhComparison:
-    """Variance against the classical and heuristic envelopes.
-
-    envelope_grh is defined as envelope_classical * (log x)^3, so the
-    two envelopes satisfy that identity exactly, not just to rounding.
-    """
-
-    total: float
-    envelope_classical: float
-    envelope_grh: float
-    ratio_bdh: float
-    ratio_grh: float
-
-
-def grh_compare(report: VarianceReport) -> GrhComparison:
-    return GrhComparison(
-        total=report.total,
-        envelope_classical=report.envelope_classical,
-        envelope_grh=report.envelope_grh,
-        ratio_bdh=report.ratio_bdh,
-        ratio_grh=report.ratio_grh,
-    )
-
-
 @dataclass(frozen=True)
 class LargeSieveResult:
     x: int
@@ -328,7 +298,10 @@ class ExchangeDiff:
 
     `direct` subtracts the two bucket-route sums; `explicit` accumulates
     the correction -chi*(n) * dk * lam over events at primes dividing the
-    modulus but not the conductor.  `bound_ok` reports the size bound
+    modulus but not the conductor.  `gap` is their rel_gap with the first
+    weight moment S1 as floor: each bucket-route sum adds terms whose
+    absolute values total S1, so its rounding error scales with S1, not
+    with the size of the difference.  `bound_ok` reports the size bound
     |direct| <= 2 * degree * log(q * x)^2.
     """
 
@@ -362,7 +335,7 @@ def primitive_exchange_diff(field: FieldSpec, x: int, chi: DirichletCharacter) -
         conductor=chi.conductor,
         direct=direct,
         explicit=explicit,
-        gap=rel_gap(direct, explicit),
+        gap=rel_gap(direct, explicit, event_moment_sums(field, x)[0]),
         bound_ok=abs(direct) <= bound,
         already_primitive=False,
     )

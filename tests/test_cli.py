@@ -192,6 +192,16 @@ def test_checks_csv_format(capsys):
     assert len(lines) == 7
 
 
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "events.csv"
+    code, out, err = run(
+        capsys, "dump-events", "--field", "Q", "--x", "10", "--out", str(target)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

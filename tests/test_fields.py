@@ -104,7 +104,8 @@ def test_split_examples(label, p, efg):
     assert (s.e, s.f, s.g) == efg
 
 
-def test_split_matches_naive_oracle(field):
+def test_split_matches_naive_oracle(oracle_field):
+    field = oracle_field
     for p in naive_primes(200):
         s = nv.split_type(field, p)
         assert (s.e, s.f, s.g) == naive_split(field.variant, field.parameter, p), (
@@ -126,6 +127,21 @@ def test_quadratic_cyclotomic_coincidences():
         for p in naive_primes(300):
             sc, sq = nv.split_type(Kc, p), nv.split_type(Kq, p)
             assert (sc.e, sc.f, sc.g) == (sq.e, sq.f, sq.g), (cyc, p)
+
+
+@pytest.mark.parametrize("labels", [("cyclo:4", "quad:-1"), ("cyclo:3", "cyclo:6", "quad:-3")])
+def test_isomorphic_fields_give_identical_outputs(labels):
+    # one field under several names: events, class groups and V agree bit for bit
+    first, *others = (nv.parse_field(label) for label in labels)
+    events = nv.norm_events(first, 10_000)
+    V = nv.variance(first, 10_000, 100).total
+    for other in others:
+        theirs = nv.norm_events(other, 10_000)
+        for col in ("n", "p", "k", "dk", "lam"):
+            assert getattr(theirs, col).tobytes() == getattr(events, col).tobytes(), (other, col)
+        for q in range(1, 301):
+            assert nv.norm_class_group(other, q).members == nv.norm_class_group(first, q).members
+        assert nv.variance(other, 10_000, 100).total == V
 
 
 def test_fieldspec_is_hashable_value_type():

@@ -67,7 +67,8 @@ def test_events_cyclo5_x20():
     ]
 
 
-def test_events_match_naive_oracle(field):
+def test_events_match_naive_oracle(oracle_field):
+    field = oracle_field
     ours = [(e.n, e.p, e.k, e.dk, e.lam) for e in nv.norm_events(field, 2000)]
     ref = naive_events(field.variant, field.parameter, 2000)
     assert len(ours) == len(ref)

@@ -124,7 +124,7 @@ def test_variance_thread_count_does_not_change_anything(field):
 def test_dyadic_partition_sums_to_total(field):
     for x, Q in ((1000, 50), (2000, 11), (100, 100)):
         report = nv.variance(field, x, Q)
-        blocks = nv.dyadic_profile(report)
+        blocks = report.dyadic
         assert nv.rel_gap(math.fsum(b.contribution for b in blocks), report.total) <= 1e-9
         # blocks chain downward and end with the small-q block at 0
         assert blocks[0].u_hi == float(Q)
@@ -150,11 +150,10 @@ def test_range_condition_flag():
 
 def test_grh_compare_identity_is_exact(field):
     report = nv.variance(field, 1000, 31)
-    comp = nv.grh_compare(report)
     log_x = math.log(1000)
-    assert comp.envelope_grh == comp.envelope_classical * log_x**3
-    assert comp.ratio_grh < comp.ratio_bdh
-    assert comp.total == report.total
+    assert report.envelope_grh == report.envelope_classical * log_x**3
+    assert report.ratio_grh < report.ratio_bdh
+    assert report.ratio_grh == report.total / report.envelope_grh
 
 
 def test_large_sieve_holds(field):
@@ -196,6 +195,26 @@ def test_exchange_routes_agree_everywhere(field):
             diff = nv.primitive_exchange_diff(field, 500, chi)
             assert diff.gap <= 1e-9, (field.label(), q, chi.exponents)
             assert diff.bound_ok
+
+
+def test_exchange_routes_agree_at_large_x(field):
+    # each bucket-route sum adds terms of total size S1 ~ x, so their
+    # difference carries rounding error of order 1e-15 * x
+    for q in range(2, 31):
+        for chi in nv.enumerate_characters(q):
+            if not chi.primitive:
+                diff = nv.primitive_exchange_diff(field, 10**6, chi)
+                assert diff.gap <= nv.REL_TOL, (field.label(), q, chi.exponents, diff.gap)
+
+
+def test_exchange_gap_detects_one_missing_event(field):
+    # the S1 floor must not hide an error of one event of weight log 2
+    x = 10**6
+    s1, _ = nv.event_moment_sums(field, x)
+    chi0 = nv.enumerate_characters(6)[0]
+    diff = nv.primitive_exchange_diff(field, x, chi0)
+    assert diff.gap == nv.rel_gap(diff.direct, diff.explicit, s1)
+    assert nv.rel_gap(diff.direct, diff.explicit + LOG2, s1) > nv.REL_TOL
 
 
 def test_exchange_on_primitive_character_is_flagged_trivial(field):
