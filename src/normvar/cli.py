@@ -5,7 +5,17 @@ oracle suites with machine-readable pass/fail), `gq` (admissible-class
 table), `dump-events` (raw event CSV).  Reports go to --out or stdout;
 human-readable status lines go to stderr.  Exit status is 0 iff every
 executed check passed, 1 on a check failure, 2 on bad usage or an I/O
-error such as an unwritable --out path.
+error such as an unwritable --out path, or a field whose report cannot
+be serialized.
+
+Check registry: each check is one function below that returns a `Check`
+record (name, passed, detail, and the value a variance report embeds)
+over one scope, stated in its docstring.  `checks` runs gq-oracle,
+class-index, orthogonality, outside-mass, large-sieve and char-exchange;
+`variance` runs orthogonality, large-sieve and char-exchange
+(`standard_checks`) for its `checks` block, then outside-mass and
+dyadic-partition on its own report.  `_finish` prints one PASS/FAIL
+line per check to stderr and picks the exit status for both.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .characters import enumerate_characters
 from .fields import parse_field
@@ -28,7 +39,7 @@ from .reporting import (
     to_json_bytes,
     variance_payload,
 )
-from .sieve import DEFAULT_SEGMENT_SIZE, norm_events
+from .sieve import norm_events
 from .stats import (
     REL_TOL,
     large_sieve_check,
@@ -41,11 +52,20 @@ from .arith import euler_phi
 
 #: fixed modulus grid for orthogonality sweeps
 ORTHOGONALITY_MODULI = tuple(range(1, 31)) + (60, 120)
-#: caps keeping the bundled check suites fast regardless of Q
+#: moduli of the imprimitive characters the exchange check covers
+EXCHANGE_MODULI = range(2, 31)
 GQ_ORACLE_CAP = 300
 OUTSIDE_MASS_CAP = 50
 LARGE_SIEVE_CAP = 300
-EXCHANGE_CAP = 30
+#: large-sieve cap inside variance reports: q = 101..300 would add about
+#: 1 s, some 13% of a variance run at x = 1e6..1e7
+VARIANCE_LARGE_SIEVE_CAP = 100
+#: key in the variance report's `checks` block of each standard check
+VARIANCE_BLOCK_KEYS = {
+    "orthogonality": "orthogonality_max_gap",
+    "large-sieve": "large_sieve_holds",
+    "char-exchange": "lemma2_max_gap",
+}
 
 
 def _write(out: str | None, text_or_bytes) -> None:
@@ -56,158 +76,146 @@ def _write(out: str | None, text_or_bytes) -> None:
         sys.stdout.write(data.decode("ascii"))
 
 
-def _status(ok: bool, name: str, detail: str) -> None:
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=sys.stderr)
+class Check(NamedTuple):
+    """One check result; `value` is what a variance report's `checks` block embeds."""
+
+    name: str
+    passed: bool
+    detail: str
+    value: float | bool | None = None
 
 
-def standard_checks(field, x: int, Q: int) -> tuple[dict, bool]:
-    """Bundled identity checks embedded in every variance report.
-
-    Runs orthogonality on the fixed modulus grid, the large sieve at
-    min(Q, 100), and the character-exchange agreement for all imprimitive
-    characters of modulus <= 30.
-    """
-    orth = max(orthogonality_check(field, x, q).gap for q in ORTHOGONALITY_MODULI)
-    sieve_bound = min(Q, 100)
-    ls = large_sieve_check(field, x, sieve_bound)
-    exchange_gap = 0.0
-    bounds_ok = True
-    for q in range(2, EXCHANGE_CAP + 1):
-        for chi in enumerate_characters(q):
-            if chi.primitive:
-                continue
-            diff = primitive_exchange_diff(field, x, chi)
-            exchange_gap = max(exchange_gap, diff.gap)
-            bounds_ok = bounds_ok and diff.bound_ok
-    block = {
-        "orthogonality_max_gap": orth,
-        "large_sieve_holds": ls.holds,
-        "lemma2_max_gap": exchange_gap,
-    }
-    ok = orth <= REL_TOL and ls.holds and exchange_gap <= REL_TOL and bounds_ok
-    return block, ok
-
-
-def cmd_variance(args) -> int:
-    field = parse_field(args.field)
-    report = variance(
-        field, args.x, args.Q, M=args.M, threads=args.threads, segment_size=args.segment_size
-    )
-    block, checks_ok = standard_checks(field, args.x, args.Q)
-    config = run_config(
-        field, x=args.x, Q=args.Q, M=args.M, format=args.format, segment_size=args.segment_size
-    )
-    if args.format == "json":
-        _write(args.out, to_json_bytes(variance_payload(report, config, block)))
-    else:
-        _write(args.out, per_q_csv(report))
-    partition_gap = rel_gap(sum(b.contribution for b in report.dyadic), report.total)
-    outside_ok = report.outside_mass == 0.0
-    partition_ok = partition_gap <= REL_TOL
-    _status(checks_ok, "bundled-checks", f"orthogonality/large-sieve/exchange at x={args.x}")
-    _status(outside_ok, "outside-mass", f"mass off admissible classes = {report.outside_mass}")
-    _status(partition_ok, "dyadic-partition", f"relative gap {format_float(partition_gap, 3)}")
-    _status(True, "variance", f"V = {format_float(report.total)} ratio_bdh = {format_float(report.ratio_bdh)}")
-    return 0 if checks_ok and outside_ok and partition_ok else 1
-
-
-def _check_gq_oracle(field, Q: int, B: int) -> dict:
+def gq_oracle(field, Q: int, B: int) -> Check:
+    """Closed-form class groups vs. the closure of p^f mod q for p <= B; q <= min(Q, 300)."""
     top = min(Q, GQ_ORACLE_CAP)
     mismatched, incomplete = [], []
     for q in range(1, top + 1):
         closed = norm_class_group(field, q).members
         empirical = norm_class_closure(field, q, B)
-        if empirical == closed:
-            continue
-        (incomplete if set(empirical) < set(closed) else mismatched).append(q)
+        if empirical != closed:
+            (incomplete if set(empirical) < set(closed) else mismatched).append(q)
     if mismatched:
-        return {
-            "name": "gq-oracle",
-            "passed": False,
-            "detail": f"closed form disagrees with closure at q={mismatched[:5]}",
-        }
-    if incomplete:
-        return {
-            "name": "gq-oracle",
-            "passed": False,
-            "detail": f"closure incomplete, raise B (B={B}, first short moduli {incomplete[:5]})",
-        }
-    return {"name": "gq-oracle", "passed": True, "detail": f"closure matches for q <= {top}, B={B}"}
+        detail = f"closed form disagrees with closure at q={mismatched[:5]}"
+    elif incomplete:
+        detail = f"closure incomplete, raise B (B={B}, first short moduli {incomplete[:5]})"
+    else:
+        detail = f"closure matches for q <= {top}, B={B}"
+    return Check("gq-oracle", not (mismatched or incomplete), detail)
 
 
-def _check_index_identity(field, Q: int) -> dict:
+def class_index(field, Q: int) -> Check:
+    """Exact index identity |G_q| * |annihilator| = phi(q); q <= min(Q, 300)."""
     top = min(Q, GQ_ORACLE_CAP)
     for q in range(1, top + 1):
         rec = norm_class_group(field, q)
         if rec.order * len(rec.annihilator) != euler_phi(q):
-            return {
-                "name": "class-index",
-                "passed": False,
-                "detail": f"order * annihilator != phi at q={q}",
-            }
-    return {"name": "class-index", "passed": True, "detail": f"exact for q <= {top}"}
+            return Check("class-index", False, f"order * annihilator != phi at q={q}")
+    return Check("class-index", True, f"exact for q <= {top}")
+
+
+def orthogonality(field, x: int) -> Check:
+    """Parseval identity on the grid ORTHOGONALITY_MODULI for every Q: it holds per q."""
+    gap = max(orthogonality_check(field, x, q).gap for q in ORTHOGONALITY_MODULI)
+    detail = f"max gap {format_float(gap, 3)} over {len(ORTHOGONALITY_MODULI)} moduli"
+    return Check("orthogonality", gap <= REL_TOL, detail, gap)
+
+
+def outside_mass(report) -> Check:
+    """No mass off admissible classes, q <= Q in `variance`, q <= min(Q, 50) in `checks`."""
+    mass = report.outside_mass
+    detail = f"mass off admissible classes = {mass} for q <= {report.Q}"
+    return Check("outside-mass", mass == 0.0, detail)
+
+
+def large_sieve(field, x: int, Q: int) -> Check:
+    """Large-sieve bound up to Q: min(Q, 300) in `checks`, min(Q, 100) in `variance`."""
+    ls = large_sieve_check(field, x, Q)
+    if ls.rhs > 0:
+        ratio = f"lhs/rhs = {format_float(ls.lhs / ls.rhs, 6)}"
+    else:  # no events: there is no ratio to print
+        ratio = f"lhs = {ls.lhs}, rhs = 0"
+    return Check("large-sieve", ls.holds, f"{ratio} at Q={ls.Q}", ls.holds)
+
+
+def char_exchange(field, x: int) -> Check:
+    """Imprimitive vs. primitive-part sums for every imprimitive chi with q <= 30, whatever Q."""
+    diffs = [
+        primitive_exchange_diff(field, x, chi)
+        for q in EXCHANGE_MODULI
+        for chi in enumerate_characters(q)
+        if not chi.primitive
+    ]
+    gap = max((d.gap for d in diffs), default=0.0)
+    passed = gap <= REL_TOL and all(d.bound_ok for d in diffs)
+    detail = f"max gap {format_float(gap, 3)} over {len(diffs)} characters"
+    return Check("char-exchange", passed, detail, gap)
+
+
+def dyadic_partition(report) -> Check:
+    """The dyadic blocks of the report sum to its total."""
+    gap = rel_gap(sum(b.contribution for b in report.dyadic), report.total)
+    return Check("dyadic-partition", gap <= REL_TOL, f"relative gap {format_float(gap, 3)}")
+
+
+def standard_checks(field, x: int, Q: int) -> list[Check]:
+    """The identity checks whose values every variance report embeds."""
+    return [
+        orthogonality(field, x),
+        large_sieve(field, x, min(Q, VARIANCE_LARGE_SIEVE_CAP)),
+        char_exchange(field, x),
+    ]
+
+
+def _finish(results: list[Check]) -> int:
+    """Print one PASS/FAIL line per check; the exit status is 1 if any failed."""
+    for r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}", file=sys.stderr)
+    return 0 if all(r.passed for r in results) else 1
+
+
+def _report_field(args):
+    """Parse --field, refusing before any work a field a JSON report cannot hold."""
+    field = parse_field(args.field)
+    if args.format == "json":
+        try:
+            to_json_bytes(field.as_dict())
+        except ValueError as exc:
+            msg = f"field {args.field} cannot be written to a JSON report: {exc}"
+            raise ValueError(msg) from None
+    return field
+
+
+def cmd_variance(args) -> int:
+    field = _report_field(args)
+    report = variance(field, args.x, args.Q, M=args.M, threads=args.threads)
+    checks = standard_checks(field, args.x, args.Q)
+    if args.format == "json":
+        config = run_config(field, x=args.x, Q=args.Q, M=args.M, format=args.format)
+        block = {VARIANCE_BLOCK_KEYS[c.name]: c.value for c in checks}
+        _write(args.out, to_json_bytes(variance_payload(report, config, block)))
+    else:
+        _write(args.out, per_q_csv(report))
+    V, ratio = format_float(report.total), format_float(report.ratio_bdh)
+    print(f"variance: V = {V} ratio_bdh = {ratio}", file=sys.stderr)
+    return _finish(checks + [outside_mass(report), dyadic_partition(report)])
 
 
 def cmd_checks(args) -> int:
-    field = parse_field(args.field)
+    field = _report_field(args)
     results = [
-        _check_gq_oracle(field, args.Q, args.B),
-        _check_index_identity(field, args.Q),
+        gq_oracle(field, args.Q, args.B),
+        class_index(field, args.Q),
+        orthogonality(field, args.x),
+        outside_mass(variance(field, args.x, min(args.Q, OUTSIDE_MASS_CAP))),
+        large_sieve(field, args.x, min(args.Q, LARGE_SIEVE_CAP)),
+        char_exchange(field, args.x),
     ]
-
-    moduli = [q for q in ORTHOGONALITY_MODULI if q <= max(args.Q, 30)]
-    orth = max(orthogonality_check(field, args.x, q).gap for q in moduli)
-    results.append(
-        {
-            "name": "orthogonality",
-            "passed": orth <= REL_TOL,
-            "detail": f"max gap {format_float(orth, 3)} over {len(moduli)} moduli",
-        }
-    )
-
-    report = variance(field, args.x, min(args.Q, OUTSIDE_MASS_CAP))
-    results.append(
-        {
-            "name": "outside-mass",
-            "passed": report.outside_mass == 0.0,
-            "detail": f"mass off admissible classes = {report.outside_mass} for q <= {report.Q}",
-        }
-    )
-
-    ls = large_sieve_check(field, args.x, min(args.Q, LARGE_SIEVE_CAP))
-    results.append(
-        {
-            "name": "large-sieve",
-            "passed": ls.holds,
-            "detail": f"lhs/rhs = {format_float(ls.lhs / ls.rhs, 6)} at Q={ls.Q}",
-        }
-    )
-
-    exchange_gap, bounds_ok, tested = 0.0, True, 0
-    for q in range(2, min(args.Q, EXCHANGE_CAP) + 1):
-        for chi in enumerate_characters(q):
-            if chi.primitive:
-                continue
-            diff = primitive_exchange_diff(field, args.x, chi)
-            exchange_gap = max(exchange_gap, diff.gap)
-            bounds_ok = bounds_ok and diff.bound_ok
-            tested += 1
-    results.append(
-        {
-            "name": "char-exchange",
-            "passed": exchange_gap <= REL_TOL and bounds_ok,
-            "detail": f"max gap {format_float(exchange_gap, 3)} over {tested} characters",
-        }
-    )
-
-    config = run_config(field, x=args.x, Q=args.Q, B=args.B, format=args.format)
     if args.format == "json":
+        config = run_config(field, x=args.x, Q=args.Q, B=args.B, format=args.format)
         _write(args.out, to_json_bytes(checks_payload(field, config, results)))
     else:
         _write(args.out, checks_csv(results))
-    for r in results:
-        _status(r["passed"], r["name"], r["detail"])
-    return 0 if all(r["passed"] for r in results) else 1
+    return _finish(results)
 
 
 def cmd_gq(args) -> int:
@@ -224,7 +232,7 @@ def cmd_gq(args) -> int:
 
 def cmd_dump_events(args) -> int:
     field = parse_field(args.field)
-    table = norm_events(field, args.x, args.segment_size)
+    table = norm_events(field, args.x)
     _write(args.out, events_csv(table))
     return 0
 
@@ -259,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_int_ge(0), default=1, help="small-q cutoff exponent")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=_int_ge(1), default=1)
-    p.add_argument("--segment-size", type=_int_ge(1), default=DEFAULT_SEGMENT_SIZE)
     p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("checks", help="identity and oracle check suites")
@@ -276,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-events", help="raw norm events up to x (CSV)")
     common(p, x=True)
-    p.add_argument("--segment-size", type=_int_ge(1), default=DEFAULT_SEGMENT_SIZE)
     p.set_defaults(func=cmd_dump_events)
 
     return parser

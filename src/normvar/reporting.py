@@ -89,13 +89,14 @@ def variance_payload(report: VarianceReport, config: dict, checks: dict) -> dict
     }
 
 
-def checks_payload(field: FieldSpec, config: dict, results: list[dict]) -> dict:
+def checks_payload(field: FieldSpec, config: dict, results) -> dict:
+    """`checks` report from records with `name`, `passed` and `detail` attributes."""
     return {
         "format_version": FORMAT_VERSION,
         "config": config,
         "field": field.as_dict(),
-        "checks": results,
-        "all_passed": all(r["passed"] for r in results),
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "all_passed": all(r.passed for r in results),
     }
 
 
@@ -106,10 +107,10 @@ def per_q_csv(report: VarianceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def checks_csv(results: list[dict]) -> str:
+def checks_csv(results) -> str:
     lines = ["check,passed,detail"]
     for r in results:
-        lines.append(f"{r['name']},{str(r['passed']).lower()},{json.dumps(r['detail'])}")
+        lines.append(f"{r.name},{str(r.passed).lower()},{json.dumps(r.detail)}")
     return "\n".join(lines) + "\n"
 
 

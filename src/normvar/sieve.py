@@ -152,9 +152,9 @@ def _event_arrays(x: int, primes: np.ndarray, f: int, g: int, parts: list) -> No
         j += 1
 
 
-def _event_parts(field: FieldSpec, x: int, segment_size: int) -> list:
+def _event_parts(field: FieldSpec, x: int) -> list:
     """Event columns per residue degree; the temporaries die before sorting."""
-    primes = primes_up_to(x, segment_size)
+    primes = primes_up_to(x)
     # f is 0 exactly at the ramified primes, the divisors of the conductor
     f_of_p = residue_degrees(field)[primes % field.conductor]
     parts: list = []
@@ -169,8 +169,8 @@ def _event_parts(field: FieldSpec, x: int, segment_size: int) -> list:
 
 
 @lru_cache(maxsize=16)
-def _event_table(field: FieldSpec, x: int, segment_size: int) -> NormEventTable:
-    parts = _event_parts(field, x, segment_size)
+def _event_table(field: FieldSpec, x: int) -> NormEventTable:
+    parts = _event_parts(field, x)
     if parts:
         n = np.concatenate([a[0] for a in parts])
         order = np.argsort(n, kind="stable")
@@ -180,23 +180,19 @@ def _event_table(field: FieldSpec, x: int, segment_size: int) -> NormEventTable:
     return NormEventTable(field, x, *cols)
 
 
-def norm_events(
-    field: FieldSpec, x: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> NormEventTable:
+def norm_events(field: FieldSpec, x: int) -> NormEventTable:
     """Table of all norm events n = p^k <= x for the field.
 
     Args:
         field: base field descriptor.
         x: inclusive norm bound, x >= 2.
-        segment_size: passed to the prime sieve; the event multiset is
-            independent of it.
 
     Returns:
         NormEventTable sorted by n.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    return _event_table(field, int(x), int(segment_size))
+    return _event_table(field, int(x))
 
 
 @lru_cache(maxsize=16)

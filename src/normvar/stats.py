@@ -35,7 +35,7 @@ from .characters import (
 )
 from .fields import FieldSpec
 from .galois import annihilates, norm_class_group, residue_masks
-from .sieve import DEFAULT_SEGMENT_SIZE, event_moment_sums, norm_events
+from .sieve import event_moment_sums, norm_events
 
 #: relative agreement demanded of dual-route identities
 REL_TOL = 1e-9
@@ -185,14 +185,7 @@ def _dyadic_blocks(
     return tuple(blocks)
 
 
-def variance(
-    field: FieldSpec,
-    x: int,
-    Q: int,
-    M: int = 1,
-    threads: int = 1,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> VarianceReport:
+def variance(field: FieldSpec, x: int, Q: int, M: int = 1, threads: int = 1) -> VarianceReport:
     """Variance of residue-class weights around x / (class count).
 
     Args:
@@ -203,7 +196,6 @@ def variance(
         threads: worker threads for the per-q loop; the result is
             identical for any value because the reduction happens in
             ascending q after all workers finish.
-        segment_size: forwarded to the prime sieve.
 
     Returns:
         VarianceReport with per-q and dyadic decompositions.
@@ -212,7 +204,7 @@ def variance(
         raise ValueError(f"x must be >= 2, got {x}")
     if not 1 <= Q <= x:
         raise ValueError(f"Q must satisfy 1 <= Q <= x, got Q={Q}, x={x}")
-    ev = norm_events(field, x, segment_size)
+    ev = norm_events(field, x)
     n, w = ev.n, ev.weight
 
     def run_block(q_range) -> list[tuple[int, int, float, float]]:
@@ -298,11 +290,12 @@ class ExchangeDiff:
 
     `direct` subtracts the two bucket-route sums; `explicit` accumulates
     the correction -chi*(n) * dk * lam over events at primes dividing the
-    modulus but not the conductor.  `gap` is their rel_gap with the first
-    weight moment S1 as floor: each bucket-route sum adds terms whose
-    absolute values total S1, so its rounding error scales with S1, not
-    with the size of the difference.  `bound_ok` reports the size bound
-    |direct| <= 2 * degree * log(q * x)^2.
+    modulus but not the conductor.  `gap` is their rel_gap with max(S1, 1)
+    as floor, S1 the first weight moment: each bucket-route sum adds terms
+    whose absolute values total S1, so its rounding error scales with S1,
+    not with the size of the difference; the 1 keeps a field with no
+    events up to x (S1 = 0) from dividing by zero.  `bound_ok` reports
+    the size bound |direct| <= 2 * degree * log(q * x)^2.
     """
 
     q: int
@@ -335,7 +328,7 @@ def primitive_exchange_diff(field: FieldSpec, x: int, chi: DirichletCharacter) -
         conductor=chi.conductor,
         direct=direct,
         explicit=explicit,
-        gap=rel_gap(direct, explicit, event_moment_sums(field, x)[0]),
+        gap=rel_gap(direct, explicit, max(event_moment_sums(field, x)[0], 1.0)),
         bound_ok=abs(direct) <= bound,
         already_primitive=False,
     )

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import normvar as nv
+from normvar import cli
 from normvar.cli import main
 
 GOLDEN_EVENTS_GAUSSIAN_X10 = """n,p,k,dk,lam
@@ -21,6 +23,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fail_lines(err: str) -> int:
+    return sum(line.startswith("FAIL ") for line in err.splitlines())
 
 
 def test_dump_events_golden(capsys):
@@ -160,10 +166,19 @@ def test_checks_all_pass(capsys):
         "char-exchange",
     ]
     assert err.count("PASS") == len(names)
+    # orthogonality and char-exchange scopes do not shrink with Q
+    details = {c["name"]: c["detail"] for c in payload["checks"]}
+    assert details["orthogonality"].endswith("over 32 moduli")
+    imprimitive = sum(
+        not chi.primitive for q in range(2, 31) for chi in nv.enumerate_characters(q)
+    )
+    assert details["char-exchange"].endswith(f"over {imprimitive} characters")
 
 
 def test_checks_reports_starved_closure(capsys):
-    code, out, _ = run(capsys, "checks", "--field", "quad:-1", "--x", "100", "--Q", "8", "--B", "2")
+    code, out, err = run(
+        capsys, "checks", "--field", "quad:-1", "--x", "100", "--Q", "8", "--B", "2"
+    )
     assert code == 1
     payload = json.loads(out)
     oracle = payload["checks"][0]
@@ -171,6 +186,59 @@ def test_checks_reports_starved_closure(capsys):
     assert oracle["passed"] is False
     assert "closure incomplete, raise B" in oracle["detail"]
     assert payload["all_passed"] is False
+    failed = sum(not c["passed"] for c in payload["checks"])
+    assert fail_lines(err) == failed == 1
+
+
+def test_variance_reports_failed_check(monkeypatch, capsys):
+    def failing(field, x, Q):
+        return nv.LargeSieveResult(x, Q, lhs=2.0, rhs=1.0, holds=False)
+
+    monkeypatch.setattr(cli, "large_sieve_check", failing)
+    code, out, err = run(capsys, "variance", "--field", "quad:-1", "--x", "1000", "--Q", "30")
+    assert code == 1
+    payload = json.loads(out)
+    block = payload["checks"]
+    failed = (
+        (block["orthogonality_max_gap"] > 1e-9)
+        + (not block["large_sieve_holds"])
+        + (block["lemma2_max_gap"] > 1e-9)
+        + (payload["outside_mass"] != 0)
+    )
+    assert fail_lines(err) == failed == 1
+    assert "FAIL large-sieve: lhs/rhs = 2 at Q=30" in err
+
+
+@pytest.mark.parametrize("command", ["variance", "checks"])
+def test_reports_without_events_pass(command, capsys):
+    # cyclo:11 has no prime-power norm up to 10: every inert power exceeds it
+    assert len(nv.norm_events(nv.parse_field("cyclo:11"), 10)) == 0
+    code, out, err = run(capsys, command, "--field", "cyclo:11", "--x", "10", "--Q", "5")
+    assert code == 0, err
+    assert json.loads(out)["field"]["parameter"] == 11
+    assert "FAIL" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["variance", "checks"])
+def test_unserializable_field_fails_before_computing(command, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("computed a report that cannot be written")
+
+    monkeypatch.setattr(cli, "variance", never)
+    monkeypatch.setattr(cli, "gq_oracle", never)
+    # the discriminant of cyclo:2003 has about 6600 digits
+    code, out, err = run(capsys, command, "--field", "cyclo:2003", "--x", "100000", "--Q", "300")
+    assert code == 2 and out == ""
+    assert err.startswith("error: field cyclo:2003 ")
+
+
+def test_unserializable_field_still_serves_tables(capsys):
+    code, out, _ = run(capsys, "gq", "--field", "cyclo:2003", "--q", "7")
+    assert code == 0
+    assert out.splitlines()[1] == "7,6,6,1,1-2-3-4-5-6"
+    code, out, _ = run(capsys, "dump-events", "--field", "cyclo:2003", "--x", "2003")
+    assert code == 0
+    assert out.splitlines()[1] == "2003,2003,1,1,7.60240133567"
 
 
 def test_checks_csv_format(capsys):

@@ -86,14 +86,6 @@ def test_event_table_sorted_and_immutable(field):
         table.weight[0] = 1.0
 
 
-def test_events_independent_of_segment_size(field):
-    a = nv.norm_events(field, 20_000)
-    b = nv.norm_events(field, 20_000, segment_size=777)
-    assert a.n.tolist() == b.n.tolist()
-    assert a.dk.tolist() == b.dk.tolist()
-    assert a.lam.tolist() == b.lam.tolist()
-
-
 def test_events_rejects_tiny_x(field):
     with pytest.raises(ValueError):
         nv.norm_events(field, 1)
