@@ -121,7 +121,10 @@ def orthogonality(field, x: int) -> Check:
 
 
 def outside_mass(report) -> Check:
-    """No mass off admissible classes, q <= Q in `variance`, q <= min(Q, 50) in `checks`."""
+    """No mass off admissible classes, q <= Q in `variance`, q <= min(Q, 50, x) in `checks`.
+
+    `checks` caps the scope at x too, because a variance report needs Q <= x.
+    """
     mass = report.outside_mass
     detail = f"mass off admissible classes = {mass} for q <= {report.Q}"
     return Check("outside-mass", mass == 0.0, detail)
@@ -206,7 +209,7 @@ def cmd_checks(args) -> int:
         gq_oracle(field, args.Q, args.B),
         class_index(field, args.Q),
         orthogonality(field, args.x),
-        outside_mass(variance(field, args.x, min(args.Q, OUTSIDE_MASS_CAP))),
+        outside_mass(variance(field, args.x, min(args.Q, OUTSIDE_MASS_CAP, args.x))),
         large_sieve(field, args.x, min(args.Q, LARGE_SIEVE_CAP)),
         char_exchange(field, args.x),
     ]

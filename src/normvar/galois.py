@@ -6,7 +6,10 @@ field's conductor, H its kernel in (Z/mZ)^* and g = gcd(m, q), that
 subgroup is the set of units modulo q whose residue modulo g lies in the
 image of H modulo g (`fields.kernel_image`).  Its conductor inside
 Q(zeta_q) is the least d | g such that every unit a = 1 (mod d) lies in
-that image.
+that image.  `residue_masks` builds both masks without a gcd or a
+remainder per residue: the units by striking out the multiples of each
+prime factor of q, the admissible classes by repeating the image modulo
+g, which divides q, q / g times.
 
 Next to the closed form there is an empirical construction, the
 multiplicative closure of actually observed norm residues p^f mod q over
@@ -22,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, euler_phi
+from .arith import divisors, euler_phi, factorize
 from .characters import DirichletCharacter, enumerate_characters, unit_group, _phase_coeffs
 from .fields import FieldSpec, kernel_image, residue_degrees
 from .sieve import primes_up_to
@@ -50,15 +53,22 @@ class NormClassGroup:
 
 
 def residue_masks(field: FieldSpec, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks over 0..q-1: (admissible classes, units)."""
+    """Boolean masks over 0..q-1: (admissible classes, units).
+
+    The units are 0..q-1 with every multiple of each prime factor of q
+    struck out, so no gcd is taken per residue.  Because g = gcd(m, q)
+    divides q, the admissible classes are the units where the image of
+    the kernel modulo g, repeated q / g times, is set.
+    """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    res = np.arange(q, dtype=np.int64)
-    coprime = np.gcd(res, q) == 1
+    coprime = np.ones(q, dtype=bool)
+    for p in factorize(q):
+        coprime[::p] = False
     g = math.gcd(field.conductor, q)
     if _image_conductor(field, g) == 1:
         return coprime, coprime
-    return coprime & kernel_image(field, g)[res % g], coprime
+    return coprime & np.tile(kernel_image(field, g), q // g), coprime
 
 
 def admissible_count(field: FieldSpec, q: int) -> int:

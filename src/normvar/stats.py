@@ -63,10 +63,23 @@ class ResidueBuckets:
         return math.fsum(self.t.tolist())
 
 
+def _residues(n: np.ndarray, q: int) -> np.ndarray:
+    """n mod q for n >= 0, equal to `n % q` but about twice as fast.
+
+    numpy's floor division by a scalar beats its remainder; the product
+    and the difference are taken in place, so one temporary of n's size
+    is held, as with `n % q`.
+    """
+    r = n // q
+    r *= q
+    np.subtract(n, r, out=r)
+    return r
+
+
 @lru_cache(maxsize=512)
 def _buckets(field: FieldSpec, x: int, q: int) -> ResidueBuckets:
     ev = norm_events(field, x)
-    t = np.bincount(ev.n % q, weights=ev.weight, minlength=q)
+    t = np.bincount(_residues(ev.n, q), weights=ev.weight, minlength=q)
     t.setflags(write=False)
     return ResidueBuckets(q=q, x=x, t=t)
 
@@ -210,7 +223,7 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1, threads: int = 1) -> 
     def run_block(q_range) -> list[tuple[int, int, float, float]]:
         rows = []
         for q in q_range:
-            t = np.bincount(n % q, weights=w, minlength=q)
+            t = np.bincount(_residues(n, q), weights=w, minlength=q)
             member, coprime = residue_masks(field, q)
             count = int(np.count_nonzero(member))
             dev = t[member] - x / count

@@ -2,7 +2,8 @@
 
 Each test checks one release criterion at its stated tolerance and prints a
 single PASS/FAIL line (routed past pytest's capture so the gate is readable
-in any run).  Field set: Q, quad:-1, quad:5, cyclo:5.
+in any run).  Field set: Q, quad:-1, quad:5, cyclo:5, except where a
+criterion names its own.
 """
 
 import math
@@ -179,3 +180,35 @@ def test_criterion_11_first_moment_tracks_x():
     _report(11, ok, f"S1(K, 1e6)/1e6 in [0.9, 1.1]: "
                     f"{', '.join(f'{k}={v:.4f}' for k, v in ratios.items())}")
     assert ok, ratios
+
+
+def _hooley_constant(bound: int) -> float:
+    """gamma + log 2pi + 1 + sum over primes p <= bound of log p / (p (p - 1))."""
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    p = np.flatnonzero(sieve).astype(np.float64)
+    tail = math.fsum((np.log(p) / (p * (p - 1))).tolist())
+    return 0.5772156649015329 + math.log(2 * math.pi) + 1 + tail
+
+
+def test_criterion_12_hooley_second_order_asymptotic():
+    """V matches Hooley's second-order BDH asymptotic for K = Q within 1%.
+
+    For the rationals V(x, Q) = Qx log Q - cQx + o(Qx) with
+    c = gamma + log 2pi + 1 + sum_p log p / (p (p - 1)); see H. L.
+    Montgomery, "Primes in arithmetic progressions", Michigan Math. J. 17
+    (1970), and C. Hooley, "On the Barban-Davenport-Halberstam theorem I",
+    J. reine angew. Math. 274/275 (1975).  Criterion 8 only bounds V by
+    10 x Q log x; this pins its size to the second term.
+    """
+    x, Q = 10**6, 10**4
+    c = _hooley_constant(10**6)
+    report = _envelope_report("Q", x, Q)
+    ratio = report.total / (Q * x * (math.log(Q) - c))
+    ok = abs(ratio - 1) <= 0.01
+    _report(12, ok, f"K = Q: V/(Qx(log Q - c)) = {ratio:.5f} within 1% of 1 at x=1e6, Q=1e4 "
+                    f"(c = {c:.5f})")
+    assert ok, ratio

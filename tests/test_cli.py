@@ -175,6 +175,14 @@ def test_checks_all_pass(capsys):
     assert details["char-exchange"].endswith(f"over {imprimitive} characters")
 
 
+def test_checks_outside_mass_is_capped_at_x(capsys):
+    # a variance report needs Q <= x, so the outside-mass scope stops at x
+    code, out, err = run(capsys, "checks", "--field", "Q", "--x", "20", "--Q", "40")
+    assert code == 0, err
+    details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+    assert details["outside-mass"].endswith("for q <= 20")
+
+
 def test_checks_reports_starved_closure(capsys):
     code, out, err = run(
         capsys, "checks", "--field", "quad:-1", "--x", "100", "--Q", "8", "--B", "2"

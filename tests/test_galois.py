@@ -1,10 +1,12 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import normvar as nv
 from normvar.arith import euler_phi
+from normvar.fields import kernel_image
 from naive_oracle import naive_closure
 
 
@@ -78,13 +80,23 @@ def test_admissible_count_agrees_with_record(field):
         assert nv.admissible_count(field, q) == nv.norm_class_group(field, q).order
 
 
-def test_residue_masks_are_consistent(field):
-    for q in range(1, 60):
+@lru_cache(maxsize=None)
+def _units(q: int) -> np.ndarray:
+    return np.array([math.gcd(a, q) == 1 for a in range(q)])
+
+
+def test_residue_masks_are_consistent(oracle_field):
+    # q = 1, prime powers and multiples of every conductor up to 20, where
+    # the repeated image mod gcd(m, q) must line up with the residues
+    field = oracle_field
+    for q in range(1, 1501):
         member, coprime = nv.residue_masks(field, q)
         assert member.shape == (q,) and coprime.shape == (q,)
-        assert np.all(~member | coprime)  # members are units
-        units = np.array([math.gcd(a, q) == 1 for a in range(q)])
-        assert np.array_equal(coprime, units)
+        units = _units(q)
+        assert np.array_equal(coprime, units), (field.label(), q)
+        g = math.gcd(field.conductor, q)
+        image = kernel_image(field, g)[np.arange(q) % g]
+        assert np.array_equal(member, units & image), (field.label(), q)
 
 
 def test_subfield_conductor_examples():

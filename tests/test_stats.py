@@ -1,8 +1,11 @@
 import math
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 import normvar as nv
+from normvar.fields import kernel_image
 from naive_oracle import naive_variance
 
 LOG2, LOG3, LOG5, LOG7 = math.log(2), math.log(3), math.log(5), math.log(7)
@@ -119,6 +122,35 @@ def test_variance_thread_count_does_not_change_anything(field):
     a = nv.variance(field, 3000, 600, threads=1)
     b = nv.variance(field, 3000, 600, threads=4)
     assert a == b
+
+
+@lru_cache(maxsize=None)
+def _reference_rows(label: str, x: int, Q: int):
+    """Per-q rows and outside mass from `n % q` and gcd masks, q = 1..Q."""
+    field = nv.parse_field(label)
+    ev = nv.norm_events(field, x)
+    rows, outside = [], []
+    for q in range(1, Q + 1):
+        t = np.bincount(ev.n % q, weights=ev.weight, minlength=q)
+        res = np.arange(q)
+        coprime = np.gcd(res, q) == 1
+        g = math.gcd(field.conductor, q)
+        member = coprime & kernel_image(field, g)[res % g]
+        count = int(np.count_nonzero(member))
+        dev = t[member] - x / count
+        rows.append(nv.PerQContribution(q, count, float(dev @ dev)))
+        outside.append(float(t[coprime & ~member].sum()))
+    return tuple(rows), math.fsum(outside)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("label", ["Q", "quad:-1", "quad:5", "cyclo:12"])
+def test_variance_rows_are_bit_identical_to_reference_loop(label, threads):
+    x, Q = 10**5, 1500
+    report = nv.variance(nv.parse_field(label), x, Q, threads=threads)
+    rows, outside = _reference_rows(label, x, Q)
+    assert report.per_q == rows
+    assert report.outside_mass == outside
 
 
 def test_dyadic_partition_sums_to_total(field):
