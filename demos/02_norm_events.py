@@ -14,14 +14,14 @@ form; the second moment S2 controls the large-sieve bound later on.
 
 import math
 
-from normvar import event_moment_sums, norm_events, parse_field
+from normvar import event_columns, event_moment_sums, parse_field
 
 gauss = parse_field("quad:-1")
 
 print("events with norm <= 30 in quad:-1")
 print("n   p  k  dk  lam")
-for ev in norm_events(gauss, 30):
-    print(f"{ev.n:<3} {ev.p:<2} {ev.k}  {ev.dk}   {ev.lam:.6f}")
+for n, p, k, dk, lam in zip(*(column.tolist() for column in event_columns(gauss, 30))):
+    print(f"{n:<3} {p:<2} {k}  {dk}   {lam:.6f}")
 
 # 5 splits, so n = 5 arrives with multiplicity 2; 3 is inert, so its first
 # event sits at n = 9 with the doubled weight 2*log(3).

@@ -18,10 +18,9 @@ from .fields import (
     split_type,
 )
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     MAX_SIEVE_LIMIT,
-    NormEvent,
     NormEventTable,
+    event_columns,
     event_moment_sums,
     norm_events,
     primes_up_to,
@@ -38,7 +37,6 @@ from .characters import (
 from .galois import (
     NormClassGroup,
     admissible_count,
-    annihilates,
     annihilator_indices,
     class_table_rows,
     norm_class_closure,
@@ -55,9 +53,7 @@ from .stats import (
     REL_TOL,
     ResidueBuckets,
     VarianceReport,
-    centered_character_sum,
     character_sum,
-    class_errors,
     large_sieve_check,
     orthogonality_check,
     primitive_exchange_diff,
@@ -77,10 +73,9 @@ __all__ = [
     "quadratic_field",
     "rational_field",
     "split_type",
-    "DEFAULT_SEGMENT_SIZE",
     "MAX_SIEVE_LIMIT",
-    "NormEvent",
     "NormEventTable",
+    "event_columns",
     "event_moment_sums",
     "norm_events",
     "primes_up_to",
@@ -93,7 +88,6 @@ __all__ = [
     "unit_group",
     "NormClassGroup",
     "admissible_count",
-    "annihilates",
     "annihilator_indices",
     "class_table_rows",
     "norm_class_closure",
@@ -108,9 +102,7 @@ __all__ = [
     "REL_TOL",
     "ResidueBuckets",
     "VarianceReport",
-    "centered_character_sum",
     "character_sum",
-    "class_errors",
     "large_sieve_check",
     "orthogonality_check",
     "primitive_exchange_diff",

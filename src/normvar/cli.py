@@ -39,7 +39,7 @@ from .reporting import (
     to_json_bytes,
     variance_payload,
 )
-from .sieve import norm_events
+from .sieve import event_columns
 from .stats import (
     REL_TOL,
     large_sieve_check,
@@ -235,8 +235,7 @@ def cmd_gq(args) -> int:
 
 def cmd_dump_events(args) -> int:
     field = parse_field(args.field)
-    table = norm_events(field, args.x)
-    _write(args.out, events_csv(table))
+    _write(args.out, events_csv(event_columns(field, args.x)))
     return 0
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import divisors, euler_phi, factorize
-from .characters import DirichletCharacter, enumerate_characters, unit_group, _phase_coeffs
+from .characters import enumerate_characters, unit_group, _phase_coeffs
 from .fields import FieldSpec, kernel_image, residue_degrees
 from .sieve import primes_up_to
 
@@ -114,12 +114,6 @@ def norm_class_group(field: FieldSpec, q: int) -> NormClassGroup:
 def annihilator_indices(field: FieldSpec, q: int) -> tuple[int, ...]:
     """Indices of characters modulo q trivial on every admissible class."""
     return norm_class_group(field, q).annihilator
-
-
-def annihilates(field: FieldSpec, chi: DirichletCharacter) -> bool:
-    """True iff chi is trivial on every admissible class modulo chi.q."""
-    rec = norm_class_group(field, chi.q)
-    return all(chi.rotation(a) == 0 for a in rec.members)
 
 
 @lru_cache(maxsize=8)

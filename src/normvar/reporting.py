@@ -12,7 +12,7 @@ import json
 
 from .fields import FieldSpec
 from .galois import class_table_rows
-from .sieve import NormEventTable
+from .sieve import EventColumns
 from .stats import VarianceReport
 
 FORMAT_VERSION = 1
@@ -114,11 +114,9 @@ def checks_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def events_csv(table: NormEventTable) -> str:
+def events_csv(columns: EventColumns) -> str:
     lines = ["n,p,k,dk,lam"]
-    for n, p, k, dk, lam in zip(
-        table.n.tolist(), table.p.tolist(), table.k.tolist(), table.dk.tolist(), table.lam.tolist()
-    ):
+    for n, p, k, dk, lam in zip(*(c.tolist() for c in columns)):
         lines.append(f"{n},{p},{k},{dk},{format_float(lam, 12)}")
     return "\n".join(lines) + "\n"
 

@@ -13,22 +13,38 @@ For unramified p, f depends only on p modulo the conductor, so it is
 read from one table (`fields.residue_degrees`) and events are generated
 per residue degree with numpy; building the table at x = 10^6 takes
 milliseconds.
+
+`_event_parts` is the one generator of events, in unsorted blocks.  The
+statistics read only n and its weight w = dk * lam, so the cached
+`norm_events` table holds those two columns, 16 bytes per event.
+`event_columns` sorts all five columns (n, p, k, dk, lam) from the same
+blocks without caching them, for the `dump-events` CSV and the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .arith import factorize, int_kth_root
 from .fields import FieldSpec, residue_degrees, split_type
 
-MAX_SIEVE_LIMIT = 1 << 40
-DEFAULT_SEGMENT_SIZE = 1 << 20
+#: memory a run may spend on the events up to x, at its peak
+EVENT_MEMORY_BUDGET = 4 << 30
+#: peak bytes per event of a variance run: 340 MiB for the 5.76e6 events
+#: at x = 1e8, 62 bytes each with the interpreter, rounded up
+PEAK_BYTES_PER_EVENT = 64
+# The events up to x are at most the prime powers up to x, fewer than
+# 1.26 x / log x for x > 2477 (pi(x) < 1.25506 x / log x by Rosser and
+# Schoenfeld; the powers with k >= 2 add O(sqrt x)).  So the budget holds
+# while 1.26 * x / log(x) * 64 <= 2^32, that is x / log(x) <= 5.33e7:
+# true at x = 1.1e9 (5.28e7, 3.97 GiB), false at 1.11e9 (5.33e7, 4.003 GiB).
+MAX_SIEVE_LIMIT = 1_100_000_000
+#: sieve window length; the primes do not depend on it
+_WINDOW = 1 << 20
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -43,24 +59,21 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def primes_up_to(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def primes_up_to(x: int) -> np.ndarray:
     """All primes <= x, ascending, as an int64 array.
 
-    Sieves in windows of `segment_size` using base primes up to sqrt(x),
-    so memory stays O(segment_size + sqrt(x)) for any x up to the
-    supported ceiling of 2^40.
+    Sieves in windows of 2^20 using base primes up to sqrt(x), so memory
+    stays O(2^20 + sqrt(x)) besides the result.
 
     Args:
-        x: inclusive upper bound; values below 2 give an empty array.
-        segment_size: window length; the result does not depend on it.
+        x: inclusive upper bound, at most MAX_SIEVE_LIMIT; values below 2
+            give an empty array.
 
     Returns:
         numpy int64 array of primes in ascending order.
     """
     if x > MAX_SIEVE_LIMIT:
-        raise ValueError(f"x = {x} exceeds the sieve ceiling 2^40")
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be positive, got {segment_size}")
+        raise ValueError(f"x = {x} exceeds the supported ceiling {MAX_SIEVE_LIMIT}")
     if x < 2:
         return np.empty(0, dtype=np.int64)
     root = math.isqrt(x)
@@ -69,7 +82,7 @@ def primes_up_to(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray
     base_list = base.tolist()
     lo = root + 1
     while lo <= x:
-        hi = min(lo + segment_size, x + 1)
+        hi = min(lo + _WINDOW, x + 1)
         mask = np.ones(hi - lo, dtype=bool)
         for p in base_list:
             start = max(p * p, ((lo + p - 1) // p) * p)
@@ -80,62 +93,41 @@ def primes_up_to(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray
     return np.concatenate(chunks)
 
 
-@dataclass(frozen=True)
-class NormEvent:
-    """One prime-power norm value n = p^k with multiplicity and log weight."""
-
-    n: int
-    p: int
-    k: int
-    dk: int
-    lam: float
-
-    @property
-    def weight(self) -> float:
-        return self.dk * self.lam
-
-
 class NormEventTable:
-    """All norm events for one field up to x, as parallel arrays sorted by n.
+    """The norm events of one field up to x, as the statistics read them.
 
-    Attributes n, p, k, dk are int64 arrays and lam is float64; rows are
-    in ascending n.  `weight` is the elementwise product dk * lam.
+    `n` (int64) holds the norms in ascending order and `weight`
+    (float64) the matching dk * lam; both are read-only.
     """
 
-    __slots__ = ("field", "x", "n", "p", "k", "dk", "lam", "_weight")
+    __slots__ = ("n", "weight")
 
-    def __init__(self, field: FieldSpec, x: int, n, p, k, dk, lam):
-        self.field = field
-        self.x = x
+    def __init__(self, n: np.ndarray, weight: np.ndarray):
         self.n = n
-        self.p = p
-        self.k = k
-        self.dk = dk
-        self.lam = lam
-        self._weight = None
-        for arr in (n, p, k, dk, lam):
-            arr.setflags(write=False)
+        self.weight = weight
+        n.setflags(write=False)
+        weight.setflags(write=False)
 
     def __len__(self) -> int:
         return self.n.size
 
-    def __iter__(self) -> Iterator[NormEvent]:
-        for i in range(self.n.size):
-            yield NormEvent(
-                int(self.n[i]), int(self.p[i]), int(self.k[i]), int(self.dk[i]), float(self.lam[i])
-            )
 
-    @property
-    def weight(self) -> np.ndarray:
-        if self._weight is None:
-            w = self.dk * self.lam
-            w.setflags(write=False)
-            self._weight = w
-        return self._weight
+class EventColumns(NamedTuple):
+    """Every column of the norm events up to x, sorted by n (the `dump-events` CSV)."""
+
+    n: np.ndarray
+    p: np.ndarray
+    k: np.ndarray
+    dk: np.ndarray
+    lam: np.ndarray
 
 
-def _event_arrays(x: int, primes: np.ndarray, f: int, g: int, parts: list) -> None:
-    """Append event rows for every p in ascending `primes` and every k = f*j <= log_p(x)."""
+def _event_arrays(x: int, primes: np.ndarray, f: int, g: int) -> Iterator[tuple]:
+    """Blocks (n, p, k, dk, lam, weight) for ascending `primes` and every k = f*j <= log_p(x).
+
+    k and dk = g are scalars per block; weight = g * lam is the product
+    the statistics read.
+    """
     j = 1
     while True:
         k = f * j
@@ -144,44 +136,46 @@ def _event_arrays(x: int, primes: np.ndarray, f: int, g: int, parts: list) -> No
             break
         sel = primes[: np.searchsorted(primes, bound, side="right")]
         if sel.size:
-            n = sel**k if k > 1 else sel
             lam = f * np.log(sel.astype(np.float64))
-            ks = np.full(sel.size, k, dtype=np.int64)
-            gs = np.full(sel.size, g, dtype=np.int64)
-            parts.append((n, sel, ks, gs, lam))
+            yield (sel**k if k > 1 else sel), sel, k, g, lam, g * lam
         j += 1
 
 
-def _event_parts(field: FieldSpec, x: int) -> list:
-    """Event columns per residue degree; the temporaries die before sorting."""
+def _event_parts(field: FieldSpec, x: int) -> Iterator[tuple]:
+    """Event blocks per residue degree, unsorted: the one event generator."""
+    if x < 2:
+        raise ValueError(f"x must be >= 2, got {x}")
     primes = primes_up_to(x)
     # f is 0 exactly at the ramified primes, the divisors of the conductor
     f_of_p = residue_degrees(field)[primes % field.conductor]
-    parts: list = []
     for f in np.unique(f_of_p).tolist():
         if f:
-            _event_arrays(x, primes[f_of_p == f], f, field.degree // f, parts)
+            yield from _event_arrays(x, primes[f_of_p == f], f, field.degree // f)
     for p in factorize(field.conductor):
         if p <= x:
             s = split_type(field, p)
-            _event_arrays(x, np.array([p], dtype=np.int64), s.f, s.g, parts)
-    return parts
+            yield from _event_arrays(x, np.array([p], dtype=np.int64), s.f, s.g)
+
+
+def _sorted_by_n(columns: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Concatenate each column's blocks and order every column by the first, n."""
+    n = np.concatenate(columns[0])
+    order = np.argsort(n, kind="stable")
+    return [n[order]] + [np.concatenate(blocks)[order] for blocks in columns[1:]]
 
 
 @lru_cache(maxsize=16)
 def _event_table(field: FieldSpec, x: int) -> NormEventTable:
-    parts = _event_parts(field, x)
-    if parts:
-        n = np.concatenate([a[0] for a in parts])
-        order = np.argsort(n, kind="stable")
-        cols = [np.concatenate([a[i] for a in parts])[order] for i in range(5)]
-    else:
-        cols = [np.empty(0, dtype=np.int64)] * 4 + [np.empty(0, dtype=np.float64)]
-    return NormEventTable(field, x, *cols)
+    # the block's other columns die with it, so only n and weight are held
+    n_blocks, w_blocks = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for n, _, _, _, _, w in _event_parts(field, x):
+        n_blocks.append(n)
+        w_blocks.append(w)
+    return NormEventTable(*_sorted_by_n([n_blocks, w_blocks]))
 
 
 def norm_events(field: FieldSpec, x: int) -> NormEventTable:
-    """Table of all norm events n = p^k <= x for the field.
+    """Cached table of the norms n = p^k <= x and their weights dk * lam.
 
     Args:
         field: base field descriptor.
@@ -190,9 +184,17 @@ def norm_events(field: FieldSpec, x: int) -> NormEventTable:
     Returns:
         NormEventTable sorted by n.
     """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
     return _event_table(field, int(x))
+
+
+def event_columns(field: FieldSpec, x: int) -> EventColumns:
+    """All five event columns (n, p, k, dk, lam) up to x, sorted by n; not cached."""
+    columns = [[np.empty(0, dtype=np.int64)] for _ in range(4)] + [[np.empty(0)]]
+    for n, p, k, g, lam, _ in _event_parts(field, int(x)):
+        block = (n, p, np.full(n.size, k, dtype=np.int64), np.full(n.size, g, dtype=np.int64), lam)
+        for column, values in zip(columns, block):
+            column.append(values)
+    return EventColumns(*_sorted_by_n(columns))
 
 
 @lru_cache(maxsize=16)

@@ -34,7 +34,7 @@ from .characters import (
     primitive_part,
 )
 from .fields import FieldSpec
-from .galois import annihilates, norm_class_group, residue_masks
+from .galois import norm_class_group, residue_masks
 from .sieve import event_moment_sums, norm_events
 
 #: relative agreement demanded of dual-route identities
@@ -59,18 +59,15 @@ class ResidueBuckets:
     x: int
     t: np.ndarray
 
-    def total(self) -> float:
-        return math.fsum(self.t.tolist())
 
-
-def _residues(n: np.ndarray, q: int) -> np.ndarray:
+def _residues(n: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
     """n mod q for n >= 0, equal to `n % q` but about twice as fast.
 
     numpy's floor division by a scalar beats its remainder; the product
-    and the difference are taken in place, so one temporary of n's size
-    is held, as with `n % q`.
+    and the difference are taken in place, so one array of n's size is
+    written: `out` if given, else a new one.
     """
-    r = n // q
+    r = np.floor_divide(n, q, out=out)
     r *= q
     np.subtract(n, r, out=r)
     return r
@@ -91,26 +88,10 @@ def residue_buckets(field: FieldSpec, x: int, q: int) -> ResidueBuckets:
     return _buckets(field, int(x), int(q))
 
 
-def class_errors(field: FieldSpec, x: int, q: int) -> dict[int, float]:
-    """Deviation t[a] - x / (class count) on each admissible class a."""
-    t = residue_buckets(field, x, q).t
-    rec = norm_class_group(field, q)
-    mean = x / rec.order
-    return {a: float(t[a]) - mean for a in rec.members}
-
-
 def character_sum(field: FieldSpec, x: int, chi: DirichletCharacter) -> complex:
     """Sum of chi(n) * dk * lam over all events, via the bucket table."""
     t = residue_buckets(field, x, chi.q).t
     return complex(np.dot(chi.value_table(), t))
-
-
-def centered_character_sum(field: FieldSpec, x: int, chi: DirichletCharacter) -> complex:
-    """Character sum with x subtracted when chi kills every admissible class."""
-    psi = character_sum(field, x, chi)
-    if annihilates(field, chi):
-        psi -= x
-    return psi
 
 
 @dataclass(frozen=True)
@@ -221,9 +202,11 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1, threads: int = 1) -> 
     n, w = ev.n, ev.weight
 
     def run_block(q_range) -> list[tuple[int, int, float, float]]:
-        rows = []
+        # one remainder buffer per block: a fresh array per q can cost a
+        # page fault per page when the allocator returns it to the system
+        rows, buffer = [], np.empty_like(n)
         for q in q_range:
-            t = np.bincount(_residues(n, q), weights=w, minlength=q)
+            t = np.bincount(_residues(n, q, buffer), weights=w, minlength=q)
             member, coprime = residue_masks(field, q)
             count = int(np.count_nonzero(member))
             dev = t[member] - x / count
@@ -320,6 +303,21 @@ class ExchangeDiff:
     already_primitive: bool
 
 
+def _prime_power_rows(n: np.ndarray, primes: list[int], x: int) -> np.ndarray:
+    """Ascending indices into the sorted, distinct norms n of the powers c^k <= x of `primes`."""
+    powers = []
+    for c in primes:
+        power = c
+        while power <= x:
+            powers.append(power)
+            power *= c
+    powers = np.sort(np.array(powers, dtype=np.int64))
+    rows = np.searchsorted(n, powers)
+    found = rows < n.size
+    rows, powers = rows[found], powers[found]
+    return rows[n[rows] == powers]
+
+
 def primitive_exchange_diff(field: FieldSpec, x: int, chi: DirichletCharacter) -> ExchangeDiff:
     """Dual-route evaluation of the imprimitivity correction for chi."""
     if chi.primitive:
@@ -328,13 +326,11 @@ def primitive_exchange_diff(field: FieldSpec, x: int, chi: DirichletCharacter) -
     direct = character_sum(field, x, chi) - character_sum(field, x, star)
     ev = norm_events(field, x)
     culprits = [p for p in factorize(chi.q) if chi.conductor % p != 0]
+    rows = _prime_power_rows(ev.n, culprits, x)
     explicit = 0j
-    if culprits:
-        mask = np.isin(ev.p, np.array(culprits, dtype=np.int64))
-        if mask.any():
-            table = star.value_table()
-            vals = table[ev.n[mask] % chi.conductor]
-            explicit = -complex(np.dot(vals, ev.weight[mask]))
+    if rows.size:
+        vals = star.value_table()[ev.n[rows] % chi.conductor]
+        explicit = -complex(np.dot(vals, ev.weight[rows]))
     bound = 2.0 * field.degree * math.log(chi.q * x) ** 2
     return ExchangeDiff(
         q=chi.q,

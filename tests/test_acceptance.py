@@ -90,9 +90,9 @@ def test_criterion_05_large_sieve_and_event_count_identity():
         raw_rhs = (x + Q * Q) * s2
         ratios[field.label()] = result.lhs / raw_rhs
         ok = ok and result.lhs <= raw_rhs
-        table = nv.norm_events(field, x)
-        g = np.array([nv.split_type(field, int(p)).g for p in table.p])
-        ok = ok and bool(np.all(table.dk * table.dk == g * table.dk))
+        cols = nv.event_columns(field, x)
+        g = np.array([nv.split_type(field, int(p)).g for p in cols.p])
+        ok = ok and bool(np.all(cols.dk * cols.dk == g * cols.dk))
     _report(5, ok, f"large sieve lhs <= (x+Q^2)*S2 at x=1e4, Q=100 "
                    f"(lhs/rhs {', '.join(f'{k}={v:.3g}' for k, v in ratios.items())}); "
                    f"dk^2 == g*dk on every event")

@@ -5,6 +5,7 @@ import pytest
 import normvar as nv
 from normvar import cli
 from normvar.cli import main
+from naive_oracle import naive_events
 
 GOLDEN_EVENTS_GAUSSIAN_X10 = """n,p,k,dk,lam
 2,2,1,1,0.69314718056
@@ -42,6 +43,17 @@ def test_dump_events_to_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text() == GOLDEN_EVENTS_GAUSSIAN_X10
+
+
+@pytest.mark.parametrize("label", ["Q", "quad:-1", "cyclo:5"])
+def test_dump_events_match_naive_oracle(label, capsys):
+    field = nv.parse_field(label)
+    code, out, _ = run(capsys, "dump-events", "--field", label, "--x", "2000")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    ref = naive_events(field.variant, field.parameter, 2000)
+    assert [tuple(int(v) for v in row[:4]) for row in rows] == [r[:4] for r in ref]
+    assert [row[4] for row in rows] == [f"{r[4]:.12g}" for r in ref]
 
 
 def test_gq_single_modulus(capsys):
@@ -276,6 +288,13 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert not target.exists()
+
+
+def test_x_above_ceiling_is_usage_error(capsys):
+    x = str(nv.MAX_SIEVE_LIMIT + 1)
+    code, out, err = run(capsys, "variance", "--field", "Q", "--x", x, "--Q", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "ceiling" in err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -133,11 +133,11 @@ def test_quadratic_cyclotomic_coincidences():
 def test_isomorphic_fields_give_identical_outputs(labels):
     # one field under several names: events, class groups and V agree bit for bit
     first, *others = (nv.parse_field(label) for label in labels)
-    events = nv.norm_events(first, 10_000)
+    events = nv.event_columns(first, 10_000)
     V = nv.variance(first, 10_000, 100).total
     for other in others:
-        theirs = nv.norm_events(other, 10_000)
-        for col in ("n", "p", "k", "dk", "lam"):
+        theirs = nv.event_columns(other, 10_000)
+        for col in events._fields:
             assert getattr(theirs, col).tobytes() == getattr(events, col).tobytes(), (other, col)
         for q in range(1, 301):
             assert nv.norm_class_group(other, q).members == nv.norm_class_group(first, q).members

@@ -35,8 +35,8 @@ def test_split_matches_naive_oracle(field):
 @PROPERTY_SETTINGS
 @given(fields)
 def test_events_match_naive_oracle(field):
-    table = nv.norm_events(field, 2000)
+    cols = nv.event_columns(field, 2000)
     ref = naive_events(field.variant, field.parameter, 2000)
-    cols = (table.n.tolist(), table.p.tolist(), table.k.tolist(), table.dk.tolist())
-    assert list(zip(*cols)) == [row[:4] for row in ref]
-    assert table.lam.tolist() == pytest.approx([row[4] for row in ref], rel=1e-13)
+    exact = (cols.n.tolist(), cols.p.tolist(), cols.k.tolist(), cols.dk.tolist())
+    assert list(zip(*exact)) == [row[:4] for row in ref]
+    assert cols.lam.tolist() == pytest.approx([row[4] for row in ref], rel=1e-13)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import normvar as nv
+from normvar import sieve
 from naive_oracle import naive_events, naive_primes
 
 LOG2, LOG3, LOG5, LOG7 = math.log(2), math.log(3), math.log(5), math.log(7)
@@ -21,19 +22,34 @@ def test_prime_counts():
     assert nv.primes_up_to(10**6).size == 78498
 
 
-@pytest.mark.parametrize("segment", [64, 1000, 4096, nv.DEFAULT_SEGMENT_SIZE])
-def test_primes_independent_of_segment_size(segment):
-    assert nv.primes_up_to(30_000, segment).tolist() == nv.primes_up_to(30_000).tolist()
+def test_primes_across_window_boundaries():
+    # the windows start above sqrt(x): two full 2^20 windows and a partial third
+    x = 3 * 2**20 + 17
+    assert np.array_equal(nv.primes_up_to(x), sieve._simple_sieve(x))
 
 
 def test_primes_rejects_above_ceiling():
     with pytest.raises(ValueError):
-        nv.primes_up_to(2**40 + 1)
+        nv.primes_up_to(nv.MAX_SIEVE_LIMIT + 1)
+
+
+def test_ceiling_is_the_memory_budget():
+    # the events up to x number fewer than 1.26 x / log x; the ceiling is
+    # the largest multiple of 1e7 whose events fit the budget at their peak
+    def peak_bytes(x):
+        return 1.26 * x / math.log(x) * sieve.PEAK_BYTES_PER_EVENT
+
+    assert peak_bytes(nv.MAX_SIEVE_LIMIT) <= sieve.EVENT_MEMORY_BUDGET
+    assert peak_bytes(nv.MAX_SIEVE_LIMIT + 10**7) > sieve.EVENT_MEMORY_BUDGET
+
+
+def _rows(field, x):
+    return list(zip(*(c.tolist() for c in nv.event_columns(field, x))))
 
 
 def test_events_rational_x10():
-    ev = list(nv.norm_events(nv.rational_field(), 10))
-    assert [(e.n, e.p, e.k, e.dk) for e in ev] == [
+    ev = _rows(nv.rational_field(), 10)
+    assert [row[:4] for row in ev] == [
         (2, 2, 1, 1),
         (3, 3, 1, 1),
         (4, 2, 2, 1),
@@ -42,13 +58,13 @@ def test_events_rational_x10():
         (8, 2, 3, 1),
         (9, 3, 2, 1),
     ]
-    assert all(e.lam == pytest.approx(math.log(e.p), abs=0) for e in ev)
+    assert all(lam == pytest.approx(math.log(p), abs=0) for _, p, _, _, lam in ev)
 
 
 def test_events_gaussian_x10():
     # ramified 2 contributes at every power with lam = log 2; inert 3 only
     # at even powers with lam = 2 log 3; split 5 with multiplicity 2
-    ev = [(e.n, e.p, e.k, e.dk, e.lam) for e in nv.norm_events(nv.parse_field("quad:-1"), 10)]
+    ev = _rows(nv.parse_field("quad:-1"), 10)
     assert ev == [
         (2, 2, 1, 1, pytest.approx(LOG2, rel=1e-15)),
         (4, 2, 2, 1, pytest.approx(LOG2, rel=1e-15)),
@@ -59,7 +75,7 @@ def test_events_gaussian_x10():
 
 
 def test_events_cyclo5_x20():
-    ev = [(e.n, e.p, e.k, e.dk, e.lam) for e in nv.norm_events(nv.parse_field("cyclo:5"), 20)]
+    ev = _rows(nv.parse_field("cyclo:5"), 20)
     assert ev == [
         (5, 5, 1, 1, pytest.approx(LOG5, rel=1e-15)),
         (11, 11, 1, 4, pytest.approx(math.log(11), rel=1e-15)),
@@ -69,12 +85,27 @@ def test_events_cyclo5_x20():
 
 def test_events_match_naive_oracle(oracle_field):
     field = oracle_field
-    ours = [(e.n, e.p, e.k, e.dk, e.lam) for e in nv.norm_events(field, 2000)]
+    ours = _rows(field, 2000)
     ref = naive_events(field.variant, field.parameter, 2000)
     assert len(ours) == len(ref)
     for mine, theirs in zip(ours, ref):
         assert mine[:4] == theirs[:4]
         assert mine[4] == pytest.approx(theirs[4], rel=1e-13)
+
+
+def _assert_table_matches_columns(field, x):
+    # the cached table and the five columns come from the same blocks
+    table, cols = nv.norm_events(field, x), nv.event_columns(field, x)
+    assert np.array_equal(table.n, cols.n)
+    assert np.array_equal(table.weight, cols.dk * cols.lam)
+
+
+def test_table_matches_columns(oracle_field):
+    _assert_table_matches_columns(oracle_field, 2000)
+
+
+def test_table_matches_columns_at_large_x():
+    _assert_table_matches_columns(nv.rational_field(), 10**6)
 
 
 def test_event_table_sorted_and_immutable(field):
@@ -89,6 +120,8 @@ def test_event_table_sorted_and_immutable(field):
 def test_events_rejects_tiny_x(field):
     with pytest.raises(ValueError):
         nv.norm_events(field, 1)
+    with pytest.raises(ValueError):
+        nv.event_columns(field, 1)
 
 
 def test_moment_sums_rational_x10():
@@ -112,9 +145,9 @@ def test_first_moment_tracks_x(field):
 
 
 def test_event_multiplicity_equals_split_count(field):
-    table = nv.norm_events(field, 10_000)
-    g_of = {int(p): nv.split_type(field, int(p)).g for p in np.unique(table.p)}
-    for n, p, k, dk in zip(table.n.tolist(), table.p.tolist(), table.k.tolist(), table.dk.tolist()):
+    cols = nv.event_columns(field, 10_000)
+    g_of = {int(p): nv.split_type(field, int(p)).g for p in np.unique(cols.p)}
+    for n, p, k, dk in zip(cols.n.tolist(), cols.p.tolist(), cols.k.tolist(), cols.dk.tolist()):
         s = nv.split_type(field, p)
         assert k % s.f == 0
         assert dk == g_of[p]

@@ -22,20 +22,7 @@ def test_buckets_total_is_first_moment(field):
     for q in (1, 4, 7, 12):
         buckets = nv.residue_buckets(field, 500, q)
         s1, _ = nv.event_moment_sums(field, 500)
-        assert buckets.total() == pytest.approx(s1, rel=1e-13)
-
-
-def test_class_errors_rational_x10_q3():
-    errs = nv.class_errors(nv.rational_field(), 10, 3)
-    assert set(errs) == {1, 2}
-    assert errs[1] == pytest.approx(LOG2 + LOG7 - 5.0, rel=1e-14)
-    assert errs[2] == pytest.approx(2 * LOG2 + LOG5 - 5.0, rel=1e-14)
-
-
-def test_class_errors_cyclo5_collapse_to_single_class():
-    errs = nv.class_errors(nv.parse_field("cyclo:5"), 20, 10)
-    assert set(errs) == {1}
-    assert errs[1] == pytest.approx(4 * math.log(11) - 20.0, rel=1e-14)
+        assert math.fsum(buckets.t) == pytest.approx(s1, rel=1e-13)
 
 
 def test_character_sum_rational_x10_mod4():
@@ -44,19 +31,6 @@ def test_character_sum_rational_x10_mod4():
     psi = nv.character_sum(nv.rational_field(), 10, chi)
     assert psi.real == pytest.approx(LOG5 - LOG7, abs=1e-13)
     assert psi.imag == pytest.approx(0.0, abs=1e-13)
-
-
-def test_centered_sum_subtracts_x_only_on_annihilator():
-    x = 200
-    K = nv.parse_field("quad:-1")
-    trivial, nontrivial = nv.enumerate_characters(4)
-    # members mod 4 are {1}, so both characters are trivial on them
-    for chi in (trivial, nontrivial):
-        assert nv.centered_character_sum(K, x, chi) == nv.character_sum(K, x, chi) - x
-    # for the rationals the nontrivial character separates {1, 3}
-    Q = nv.rational_field()
-    assert nv.centered_character_sum(Q, x, trivial) == nv.character_sum(Q, x, trivial) - x
-    assert nv.centered_character_sum(Q, x, nontrivial) == nv.character_sum(Q, x, nontrivial)
 
 
 def test_orthogonality_sweep(field):
