@@ -22,6 +22,13 @@ def test_prime_counts():
     assert nv.primes_up_to(10**6).size == 78498
 
 
+@pytest.mark.parametrize("segment", [64, 1000, 4096, 1 << 20])
+def test_primes_independent_of_segment_size(segment, monkeypatch):
+    # the window is a private constant; the primes must not depend on it
+    monkeypatch.setattr(sieve, "_WINDOW", segment)
+    assert nv.primes_up_to(30_000).tolist() == list(naive_primes(30_000))
+
+
 def test_primes_across_window_boundaries():
     # the windows start above sqrt(x): two full 2^20 windows and a partial third
     x = 3 * 2**20 + 17
