@@ -13,7 +13,6 @@ one: take actual primes, reduce p^f mod q, and close up multiplicatively.
 """
 
 from normvar import (
-    annihilator_indices,
     class_table_rows,
     norm_class_closure,
     norm_class_group,
@@ -46,7 +45,7 @@ print("\nindex identity |G_q| * |G_q^perp| == phi(q) for cyclo:5")
 print("q   |G_q| |perp| phi(q)")
 for q in (7, 11, 25, 31, 55):
     group = norm_class_group(parse_field("cyclo:5"), q)
-    perp = annihilator_indices(parse_field("cyclo:5"), q)
+    perp = group.annihilator
     print(f"{q:<3} {group.order:<5} {len(perp):<6} {euler_phi(q)}")
     assert group.order * len(perp) == euler_phi(q)
 

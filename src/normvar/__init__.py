@@ -9,6 +9,7 @@ identity checks that guard the whole computation.
 """
 
 from .fields import (
+    MAX_CONDUCTOR,
     FieldSpec,
     SplitData,
     cyclotomic_field,
@@ -36,8 +37,6 @@ from .characters import (
 )
 from .galois import (
     NormClassGroup,
-    admissible_count,
-    annihilator_indices,
     class_table_rows,
     norm_class_closure,
     norm_class_group,
@@ -51,7 +50,6 @@ from .stats import (
     OrthogonalityResult,
     PerQContribution,
     REL_TOL,
-    ResidueBuckets,
     VarianceReport,
     character_sum,
     large_sieve_check,
@@ -66,6 +64,7 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "MAX_CONDUCTOR",
     "FieldSpec",
     "SplitData",
     "cyclotomic_field",
@@ -87,8 +86,6 @@ __all__ = [
     "primitive_part",
     "unit_group",
     "NormClassGroup",
-    "admissible_count",
-    "annihilator_indices",
     "class_table_rows",
     "norm_class_closure",
     "norm_class_group",
@@ -100,7 +97,6 @@ __all__ = [
     "OrthogonalityResult",
     "PerQContribution",
     "REL_TOL",
-    "ResidueBuckets",
     "VarianceReport",
     "character_sum",
     "large_sieve_check",

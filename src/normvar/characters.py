@@ -8,7 +8,11 @@ generators, so its value at n is the exact rational rotation
 
     sum_i exponents[i] * dlog_i(n) / order_i  (mod 1),
 
-kept as a Fraction until complex values are actually needed.  Conductors
+kept as a Fraction until complex values are actually needed.  Numeric
+values have one route, `phase_matrix`: the integer numerators of those
+rotations for every character modulo q at every residue.
+`character_matrix` maps it to complex values, a character's `value_table`
+is its row there, and `galois` reads the annihilator off it.  Conductors
 come from a per-component closed form, and the primitive part is solved
 for by evaluating rotations at lifts of the smaller group's generators.
 """
@@ -164,8 +168,8 @@ class DirichletCharacter:
         return complex(math.cos(theta), math.sin(theta))
 
     def value_table(self) -> np.ndarray:
-        """Values at 0..q-1 as a read-only complex array."""
-        return _value_table(self.q, self.exponents)
+        """Read-only complex values at 0..q-1: this character's row of `character_matrix`."""
+        return character_matrix(self.q)[np.ravel_multi_index(self.exponents, self.group.orders)]
 
 
 @lru_cache(maxsize=64)
@@ -173,28 +177,6 @@ def _roots_of_unity(big: int) -> np.ndarray:
     w = np.exp(2j * np.pi * np.arange(big) / big)
     w.setflags(write=False)
     return w
-
-
-def _phase_coeffs(group: UnitGroup, exponents: tuple[int, ...]) -> np.ndarray:
-    big = group.exponent
-    return np.array(
-        [e * (big // c.order) % big for e, c in zip(exponents, group.components)],
-        dtype=np.int64,
-    )
-
-
-@lru_cache(maxsize=4096)
-def _value_table(q: int, exponents: tuple[int, ...]) -> np.ndarray:
-    group = unit_group(q)
-    big = group.exponent
-    if group.components:
-        nums = (group.dlog @ _phase_coeffs(group, exponents)) % big
-    else:
-        nums = np.zeros(q, dtype=np.int64)
-    table = _roots_of_unity(big)[nums].copy()
-    table[~group.coprime] = 0
-    table.setflags(write=False)
-    return table
 
 
 def _conductor(group: UnitGroup, exponents: tuple[int, ...]) -> int:
@@ -249,18 +231,29 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     return tuple(out)
 
 
+def phase_matrix(q: int) -> np.ndarray:
+    """Integer phases of every character modulo q at every residue; not cached.
+
+    Row i belongs to enumerate_characters(q)[i] and holds k with value
+    exp(2 pi i k / exponent) at each unit; entries at non-units are
+    meaningless.  Shape (phi(q), q).
+    """
+    group = unit_group(q)
+    big = group.exponent
+    phases = np.zeros((1, q), dtype=np.int64)
+    # one component at a time, its exponent varying fastest: the row order
+    # of itertools.product in enumerate_characters
+    for comp, dlog in zip(group.components, group.dlog.T):
+        steps = np.arange(comp.order, dtype=np.int64)[:, None] * (dlog * (big // comp.order))
+        phases = ((phases[:, None, :] + steps) % big).reshape(-1, q)
+    return phases
+
+
 @lru_cache(maxsize=128)
 def character_matrix(q: int) -> np.ndarray:
-    """Row i = value table of enumerate_characters(q)[i]; shape (phi(q), q)."""
+    """Row i = values of enumerate_characters(q)[i] at 0..q-1; shape (phi(q), q)."""
     group = unit_group(q)
-    chars = enumerate_characters(q)
-    big = group.exponent
-    if group.components:
-        coeffs = np.stack([_phase_coeffs(group, c.exponents) for c in chars])
-        nums = (coeffs @ group.dlog.T) % big
-    else:
-        nums = np.zeros((len(chars), q), dtype=np.int64)
-    mat = _roots_of_unity(big)[nums].copy()
+    mat = _roots_of_unity(group.exponent)[phase_matrix(q)]
     mat[:, ~group.coprime] = 0
     mat.setflags(write=False)
     return mat

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from contextlib import nullcontext
 from typing import NamedTuple
 
 from .characters import enumerate_characters
@@ -68,12 +68,14 @@ VARIANCE_BLOCK_KEYS = {
 }
 
 
-def _write(out: str | None, text_or_bytes) -> None:
-    data = text_or_bytes if isinstance(text_or_bytes, bytes) else text_or_bytes.encode("ascii")
-    if out:
-        Path(out).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode("ascii"))
+def _write(out: str | None, report) -> None:
+    """Write a report (ASCII text, bytes, or text blocks one at a time) to --out or stdout."""
+    if isinstance(report, bytes):
+        report = report.decode("ascii")
+    blocks = [report] if isinstance(report, str) else report
+    with open(out, "w", encoding="ascii", newline="") if out else nullcontext(sys.stdout) as stream:
+        for block in blocks:
+            stream.write(block)
 
 
 class Check(NamedTuple):

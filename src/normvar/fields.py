@@ -34,6 +34,19 @@ CYCLOTOMIC = "cyclotomic"
 
 _FIELD_RE = re.compile(r"^(Q|quad:(-?\d+)|cyclo:(\d+))$")
 
+# A field's setup grows with its conductor m before any event is made:
+# `kernel_image` runs a Kronecker symbol per residue for quad (about 3.3
+# microseconds each) and `residue_degrees` holds arrays of size m, while
+# the discriminant of cyclo:m, m^phi(m) over prime powers, grows
+# quadratically.  `variance --x 1000 --Q 5` measured, from a small
+# launcher process:
+#   conductor ~1e4: 0.3-0.4 s, 33 MiB;  ~1e5: 0.6-0.7 s, 35 MiB;
+#   ~1e6: 3.7 s (quad), 7.5 s (cyclo, 5.9 s of it the discriminant), 80 MiB;
+#   ~1e7: 32 s and 507 MiB (quad); cyclo did not parse within 90 s.
+# So fields up to 1e6 set up within 10 s and 100 MiB, and anything above
+# is refused before computing.  _pow_mod needs m^2 < 2^63 (m < 3.04e9).
+MAX_CONDUCTOR = 1_000_000
+
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -89,9 +102,13 @@ def quadratic_field(d: int) -> FieldSpec:
     """Q(sqrt(d)) for squarefree d not in {0, 1}."""
     if d in (0, 1):
         raise ValueError(f"quadratic parameter must not be 0 or 1, got {d}")
+    disc = d if d % 4 == 1 else 4 * d
+    if abs(disc) > MAX_CONDUCTOR:
+        raise ValueError(
+            f"conductor {abs(disc)} of quad:{d} exceeds the supported ceiling {MAX_CONDUCTOR}"
+        )
     if not is_squarefree(d):
         raise ValueError(f"quadratic parameter must be squarefree, got {d}")
-    disc = d if d % 4 == 1 else 4 * d
     return FieldSpec(QUADRATIC, d, 2, disc, abs(disc))
 
 
@@ -106,6 +123,10 @@ def cyclotomic_field(m: int) -> FieldSpec:
         m //= 2
     if m <= 2:
         return rational_field()
+    if m > MAX_CONDUCTOR:
+        raise ValueError(
+            f"conductor {m} of cyclo:{m} exceeds the supported ceiling {MAX_CONDUCTOR}"
+        )
     deg = euler_phi(m)
     # |disc| = m^deg / prod_{p | m} p^(deg / (p-1)); sign is (-1)^(deg/2)
     disc = m**deg

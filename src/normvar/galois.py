@@ -9,7 +9,9 @@ Q(zeta_q) is the least d | g such that every unit a = 1 (mod d) lies in
 that image.  `residue_masks` builds both masks without a gcd or a
 remainder per residue: the units by striking out the multiples of each
 prime factor of q, the admissible classes by repeating the image modulo
-g, which divides q, q / g times.
+g, which divides q, q / g times.  The annihilator, the characters
+trivial on every admissible class, are the rows of
+`characters.phase_matrix` that vanish on every member.
 
 Next to the closed form there is an empirical construction, the
 multiplicative closure of actually observed norm residues p^f mod q over
@@ -26,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import divisors, euler_phi, factorize
-from .characters import enumerate_characters, unit_group, _phase_coeffs
+from .characters import phase_matrix
 from .fields import FieldSpec, kernel_image, residue_degrees
 from .sieve import primes_up_to
 
@@ -71,12 +73,6 @@ def residue_masks(field: FieldSpec, q: int) -> tuple[np.ndarray, np.ndarray]:
     return coprime & np.tile(kernel_image(field, g), q // g), coprime
 
 
-def admissible_count(field: FieldSpec, q: int) -> int:
-    """Number of admissible classes modulo q (called phi_K in reports)."""
-    member, _ = residue_masks(field, q)
-    return int(np.count_nonzero(member))
-
-
 def subfield_conductor(field: FieldSpec, q: int) -> int:
     """Conductor of the subfield the classes cut out inside Q(zeta_q)."""
     return _image_conductor(field, math.gcd(field.conductor, q))
@@ -94,14 +90,7 @@ def norm_class_group(field: FieldSpec, q: int) -> NormClassGroup:
     """Closed-form admissible class group with its character annihilator."""
     member, _ = residue_masks(field, q)
     members = np.flatnonzero(member)
-    chars = enumerate_characters(q)
-    group = unit_group(q)
-    if group.components:
-        coeffs = np.stack([_phase_coeffs(group, c.exponents) for c in chars])
-        nums = (group.dlog[members] @ coeffs.T) % group.exponent
-        perp = np.flatnonzero(~nums.any(axis=0))
-    else:
-        perp = np.arange(len(chars))
+    perp = np.flatnonzero(~phase_matrix(q)[:, members].any(axis=1))
     return NormClassGroup(
         q=q,
         members=tuple(int(a) for a in members),
@@ -109,11 +98,6 @@ def norm_class_group(field: FieldSpec, q: int) -> NormClassGroup:
         subfield_conductor=subfield_conductor(field, q),
         annihilator=tuple(int(i) for i in perp),
     )
-
-
-def annihilator_indices(field: FieldSpec, q: int) -> tuple[int, ...]:
-    """Indices of characters modulo q trivial on every admissible class."""
-    return norm_class_group(field, q).annihilator
 
 
 @lru_cache(maxsize=8)

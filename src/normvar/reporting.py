@@ -9,6 +9,7 @@ version-sensitive.
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 from .fields import FieldSpec
 from .galois import class_table_rows
@@ -114,11 +115,20 @@ def checks_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def events_csv(columns: EventColumns) -> str:
-    lines = ["n,p,k,dk,lam"]
-    for n, p, k, dk, lam in zip(*(c.tolist() for c in columns)):
-        lines.append(f"{n},{p},{k},{dk},{format_float(lam, 12)}")
-    return "\n".join(lines) + "\n"
+#: rows per block of the `dump-events` CSV
+_CSV_ROWS = 1 << 14
+
+
+def events_csv(columns: EventColumns) -> Iterator[str]:
+    """The `dump-events` CSV in blocks of 2^14 rows, header first.
+
+    A whole CSV costs about 330 bytes of Python strings per event, so it
+    is never held at once.
+    """
+    yield "n,p,k,dk,lam\n"
+    for lo in range(0, columns.n.size, _CSV_ROWS):
+        rows = zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in columns))
+        yield "".join(f"{n},{p},{k},{dk},{format_float(lam, 12)}\n" for n, p, k, dk, lam in rows)
 
 
 def gq_csv(field: FieldSpec, moduli) -> str:

@@ -65,7 +65,7 @@ def test_criterion_03_index_identity_is_exact():
     for field in ALL_FIELDS:
         for q in range(1, 301):
             group = nv.norm_class_group(field, q)
-            if group.order * len(nv.annihilator_indices(field, q)) != euler_phi(q):
+            if group.order * len(group.annihilator) != euler_phi(q):
                 bad.append((field.label(), q))
     ok = not bad
     _report(3, ok, f"|G_q| * |annihilator| == phi(q) exactly for q <= 300; "

@@ -89,7 +89,7 @@ def test_character_matrix_rows_align():
         chars = nv.enumerate_characters(q)
         assert mat.shape == (len(chars), q)
         for i, chi in enumerate(chars):
-            assert np.allclose(mat[i], chi.value_table(), atol=1e-14)
+            assert np.array_equal(mat[i], chi.value_table())
 
 
 def test_row_orthogonality():

@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 import normvar as nv
-from normvar import cli
+from normvar import cli, reporting
 from normvar.cli import main
 from naive_oracle import naive_events
 
@@ -34,6 +35,20 @@ def test_dump_events_golden(capsys):
     code, out, _ = run(capsys, "dump-events", "--field", "quad:-1", "--x", "10")
     assert code == 0
     assert out == GOLDEN_EVENTS_GAUSSIAN_X10
+
+
+def test_dump_events_blocks_join_to_one_csv(capsys):
+    # about 18,000 events: the CSV is written in more than one block
+    field = nv.rational_field()
+    columns = nv.event_columns(field, 200_000)
+    assert columns.n.size > reporting._CSV_ROWS
+    rows = [
+        f"{n},{p},{k},{dk},{reporting.format_float(lam, 12)}"
+        for n, p, k, dk, lam in zip(*(c.tolist() for c in columns))
+    ]
+    code, out, _ = run(capsys, "dump-events", "--field", "Q", "--x", "200000")
+    assert code == 0
+    assert out == "\n".join(["n,p,k,dk,lam"] + rows) + "\n"
 
 
 def test_dump_events_to_file(tmp_path, capsys):
@@ -295,6 +310,26 @@ def test_x_above_ceiling_is_usage_error(capsys):
     code, out, err = run(capsys, "variance", "--field", "Q", "--x", x, "--Q", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "ceiling" in err
+
+
+@pytest.mark.parametrize("spec", ["quad:1000000000000000003", "cyclo:3037000507"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["variance", "--x", "1000", "--Q", "5"],
+        ["checks", "--x", "1000", "--Q", "5"],
+        ["gq", "--Q", "5"],
+        ["dump-events", "--x", "1000"],
+    ],
+    ids=["variance", "checks", "gq", "dump-events"],
+)
+def test_conductor_above_ceiling_is_usage_error(capsys, spec, command):
+    # refused before factorizing, building arrays or the discriminant
+    start = time.perf_counter()
+    code, out, err = run(capsys, command[0], "--field", spec, *command[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: conductor ") and "ceiling" in err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -72,6 +72,17 @@ def test_parse_rejects_malformed(bad):
         nv.parse_field(bad)
 
 
+def test_conductor_ceiling_applies_to_the_conductor():
+    # 249999 and 250003 are squarefree and 3 mod 4: conductors 999996 and 1000012
+    assert nv.parse_field("quad:249999").conductor == 999_996
+    with pytest.raises(ValueError, match="conductor 1000012 of quad:250003"):
+        nv.parse_field("quad:250003")
+    # cyclo:2m names cyclo:m for odd m, so its conductor is m
+    for label in ("cyclo:1000001", "cyclo:2000002", "cyclo:1000004"):
+        with pytest.raises(ValueError, match="ceiling"):
+            nv.parse_field(label)
+
+
 def test_parse_error_is_informative():
     # Syntactic garbage names the offending token, semantic misuse the reason.
     with pytest.raises(ValueError, match="bogus"):

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import normvar as nv
+from normvar import stats
 from normvar.fields import kernel_image
+from normvar.stats import class_weights
 from naive_oracle import naive_variance
 
 LOG2, LOG3, LOG5, LOG7 = math.log(2), math.log(3), math.log(5), math.log(7)
 
 
 def test_buckets_rational_x10_q3():
-    t = nv.residue_buckets(nv.rational_field(), 10, 3).t
+    t = nv.residue_buckets(nv.rational_field(), 10, 3)
     assert t[0] == pytest.approx(2 * LOG3, rel=1e-15)
     assert t[1] == pytest.approx(LOG2 + LOG7, rel=1e-15)
     assert t[2] == pytest.approx(2 * LOG2 + LOG5, rel=1e-15)
@@ -20,9 +22,46 @@ def test_buckets_rational_x10_q3():
 
 def test_buckets_total_is_first_moment(field):
     for q in (1, 4, 7, 12):
-        buckets = nv.residue_buckets(field, 500, q)
+        t = nv.residue_buckets(field, 500, q)
         s1, _ = nv.event_moment_sums(field, 500)
-        assert math.fsum(buckets.t) == pytest.approx(s1, rel=1e-13)
+        assert math.fsum(t) == pytest.approx(s1, rel=1e-13)
+
+
+def _one_bincount(n, w, q):
+    return np.bincount(n % q, weights=w, minlength=q)
+
+
+def test_class_weights_equal_one_bincount(oracle_field, monkeypatch):
+    # blocks of 256 events, so every field's table spans several blocks
+    monkeypatch.setattr(stats, "_BLOCK", 256)
+    ev = nv.norm_events(oracle_field, 10**4)
+    for q in range(1, 301):
+        assert np.array_equal(class_weights(ev.n, ev.weight, q), _one_bincount(ev.n, ev.weight, q))
+
+
+def test_class_weights_equal_one_bincount_across_two_blocks():
+    ev = nv.norm_events(nv.rational_field(), 10**6)
+    assert stats._BLOCK < len(ev) <= 2 * stats._BLOCK
+    for q in (1, 2, 3, 30, 97, 300, 1000, 9973):
+        assert np.array_equal(class_weights(ev.n, ev.weight, q), _one_bincount(ev.n, ev.weight, q))
+
+
+def test_class_weights_without_events():
+    ev = nv.norm_events(nv.parse_field("cyclo:11"), 10)
+    assert len(ev) == 0
+    for q in (1, 5, 11):
+        assert np.array_equal(class_weights(ev.n, ev.weight, q), np.zeros(q))
+
+
+def test_buckets_unchanged_by_a_variance_run(field):
+    x = 5000
+    before = {q: nv.residue_buckets(field, x, q) for q in (1, 7, 12, 30)}
+    copies = {q: t.copy() for q, t in before.items()}
+    nv.variance(field, x, 40, threads=2)
+    for q, t in before.items():
+        assert not t.flags.writeable
+        assert nv.residue_buckets(field, x, q) is t
+        assert np.array_equal(t, copies[q])
 
 
 def test_character_sum_rational_x10_mod4():
@@ -77,7 +116,7 @@ def test_variance_per_q_shape_and_positivity(field):
     report = nv.variance(field, 1000, 30)
     assert [r.q for r in report.per_q] == list(range(1, 31))
     assert all(r.contribution >= 0.0 for r in report.per_q)
-    assert all(r.admissible == nv.admissible_count(field, r.q) for r in report.per_q)
+    assert all(r.admissible == nv.norm_class_group(field, r.q).order for r in report.per_q)
     assert report.total == pytest.approx(
         math.fsum(r.contribution for r in report.per_q), rel=1e-15
     )
