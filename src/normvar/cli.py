@@ -225,12 +225,7 @@ def cmd_checks(args) -> int:
 
 def cmd_gq(args) -> int:
     field = parse_field(args.field)
-    if args.q is not None:
-        moduli = [args.q]
-    elif args.Q is not None:
-        moduli = range(1, args.Q + 1)
-    else:
-        raise ValueError("gq needs --Q or --q")
+    moduli = [args.q] if args.q is not None else range(1, args.Q + 1)
     _write(args.out, gq_csv(field, moduli))
     return 0
 
@@ -242,13 +237,14 @@ def cmd_dump_events(args) -> int:
 
 
 def _int_ge(minimum: int):
-    def convert(text: str) -> int:
+    # argparse names the converter in its message: "invalid integer value: '1e6'"
+    def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
         return value
 
-    return convert
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gq", help="admissible residue classes per modulus (CSV)")
     common(p)
-    p.add_argument("--Q", type=_int_ge(1), help="table over 1 <= q <= Q")
-    p.add_argument("--q", type=_int_ge(1), help="single modulus")
+    moduli = p.add_mutually_exclusive_group(required=True)
+    moduli.add_argument("--Q", type=_int_ge(1), help="table over 1 <= q <= Q")
+    moduli.add_argument("--q", type=_int_ge(1), help="single modulus")
     p.set_defaults(func=cmd_gq)
 
     p = sub.add_parser("dump-events", help="raw norm events up to x (CSV)")

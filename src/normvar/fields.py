@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import divisors, euler_phi, factorize, is_squarefree, kronecker, valuation
+from .arith import divisors, euler_phi, factorize, is_squarefree, valuation
 
 RATIONAL = "rational"
 QUADRATIC = "quadratic"
@@ -35,16 +35,20 @@ CYCLOTOMIC = "cyclotomic"
 _FIELD_RE = re.compile(r"^(Q|quad:(-?\d+)|cyclo:(\d+))$")
 
 # A field's setup grows with its conductor m before any event is made:
-# `kernel_image` runs a Kronecker symbol per residue for quad (about 3.3
-# microseconds each) and `residue_degrees` holds arrays of size m, while
+# `kernel_image` takes the Kronecker symbols of all m residues for quad
+# (one vectorised pass, 0.5 s at m = 999,996 where a Python call per
+# residue took 1.5 s) and `residue_degrees` holds arrays of size m, while
 # the discriminant of cyclo:m, m^phi(m) over prime powers, grows
 # quadratically.  `variance --x 1000 --Q 5` measured, from a small
 # launcher process:
-#   conductor ~1e4: 0.3-0.4 s, 33 MiB;  ~1e5: 0.6-0.7 s, 35 MiB;
-#   ~1e6: 3.7 s (quad), 7.5 s (cyclo, 5.9 s of it the discriminant), 80 MiB;
-#   ~1e7: 32 s and 507 MiB (quad); cyclo did not parse within 90 s.
+#   conductor ~1e4: 0.3-0.4 s, 33 MiB;  ~1e5: 0.5-0.7 s, 35 MiB;
+#   ~1e6: 1.1 s and 79 MiB (quad:249999; 1.7-2.1 s with the per-residue
+#   symbols), 7.5 s (cyclo, 5.9 s of it the discriminant), 80 MiB;
+#   ~1e7: 32 s and 507 MiB (quad, per-residue symbols); cyclo did not
+#   parse within 90 s.
 # So fields up to 1e6 set up within 10 s and 100 MiB, and anything above
-# is refused before computing.  _pow_mod needs m^2 < 2^63 (m < 3.04e9).
+# is refused before computing; the cyclotomic discriminant, not quad,
+# sets that ceiling.  _pow_mod needs m^2 < 2^63 (m < 3.04e9).
 MAX_CONDUCTOR = 1_000_000
 
 
@@ -159,11 +163,45 @@ def kernel_image(field: FieldSpec, g: int) -> np.ndarray:
         image = np.zeros(g, dtype=bool)
         image[np.flatnonzero(kernel_image(field, m)) % g] = True
     elif field.variant == QUADRATIC:
-        image = np.array([kronecker(field.discriminant, r) == 1 for r in range(m)], dtype=bool)
+        image = _kronecker_row(field.discriminant, m) == 1
     else:  # the rationals (m = 1) and cyclo:m both have H = {1 mod m}
         image = np.arange(m) == 1 % m
     image.setflags(write=False)
     return image
+
+
+def _kronecker_row(a: int, m: int) -> np.ndarray:
+    """Kronecker symbols (a | r) for r = 0..m-1, equal to `arith.kronecker(a, r)` for each r.
+
+    The binary Jacobi algorithm runs on 2^16 residues r at a time: the
+    factors of 2 leave r first, then each round strips the factors of 2
+    from the numerators, applies reciprocity and reduces, and sets the
+    entries whose numerator reached 0.
+    """
+    out = np.zeros(m, dtype=np.int8)
+    if m:
+        out[0] = a in (1, -1)
+    for lo in range(1, m, 1 << 16):
+        where = np.arange(lo, min(lo + (1 << 16), m))
+        n = where.copy()
+        # (a | 2) by a mod 8, once per factor 2 of r
+        twos = np.log2(n & -n).astype(np.int64)
+        n >>= twos
+        sign = np.power((0, 1, 0, -1, 0, -1, 0, 1)[a % 8], twos)
+        num = a % n
+        while n.size:
+            done = num == 0
+            out[where[done]] = np.where(n[done] == 1, sign[done], 0)
+            live = ~done
+            where, n, num, sign = where[live], n[live], num[live], sign[live]
+            twos = np.log2(num & -num).astype(np.int64)
+            num >>= twos
+            # (2 | n) = -1 for n = 3, 5 (mod 8), and reciprocity flips when both are 3 (mod 4)
+            sign[(twos & 1 == 1) & ((n & 7 == 3) | (n & 7 == 5))] *= -1
+            num, n = n, num
+            sign[(num & 3 == 3) & (n & 3 == 3)] *= -1
+            num %= n
+    return out
 
 
 def _pow_mod(base: np.ndarray, e: int, m: int) -> np.ndarray:

@@ -16,7 +16,8 @@ milliseconds.
 
 `_event_parts` is the one generator of events, in unsorted blocks.  The
 statistics read only n and its weight w = dk * lam, so the cached
-`norm_events` table holds those two columns, 16 bytes per event.
+`norm_events` table holds those two columns, n as uint32: 12 bytes per
+event.
 `event_columns` sorts all five columns (n, p, k, dk, lam) from the same
 blocks without caching them, for the `dump-events` CSV and the tests.
 """
@@ -34,8 +35,10 @@ from .fields import FieldSpec, residue_degrees, split_type
 
 #: memory a run may spend on the events up to x, at its peak
 EVENT_MEMORY_BUDGET = 4 << 30
-#: peak bytes per event of a variance run: 340 MiB for the 5.76e6 events
-#: at x = 1e8, 62 bytes each with the interpreter, rounded up
+#: peak bytes per event of a variance run, rounded up: `variance --x 1e8
+#: --Q 1` for Q peaked at 340 MiB for the 5.76e6 events (62 bytes each,
+#: with the interpreter) while n was int64, and at 274 MiB (50 bytes) with
+#: n as uint32 and the two weight slices of `stats.weight_slices` cached
 PEAK_BYTES_PER_EVENT = 64
 # The events up to x are at most the prime powers up to x, fewer than
 # 1.26 x / log x for x > 2477 (pi(x) < 1.25506 x / log x by Rosser and
@@ -96,8 +99,9 @@ def primes_up_to(x: int) -> np.ndarray:
 class NormEventTable:
     """The norm events of one field up to x, as the statistics read them.
 
-    `n` (int64) holds the norms in ascending order and `weight`
-    (float64) the matching dk * lam; both are read-only.
+    `n` (uint32, as every n <= MAX_SIEVE_LIMIT < 2^32) holds the norms
+    in ascending order and `weight` (float64) the matching dk * lam; both
+    are read-only.
     """
 
     __slots__ = ("n", "weight")
@@ -167,10 +171,12 @@ def _sorted_by_n(columns: list[list[np.ndarray]]) -> list[np.ndarray]:
 @lru_cache(maxsize=16)
 def _event_table(field: FieldSpec, x: int) -> NormEventTable:
     # the block's other columns die with it, so only n and weight are held
-    n_blocks, w_blocks = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    n_blocks, w_blocks = [np.empty(0, dtype=np.uint32)], [np.empty(0)]
     for n, _, _, _, _, w in _event_parts(field, x):
-        n_blocks.append(n)
+        n_blocks.append(n.astype(np.uint32))
         w_blocks.append(w)
+    # _event_parts has checked x <= MAX_SIEVE_LIMIT, so every n <= x fits
+    assert x <= MAX_SIEVE_LIMIT < 2**32
     return NormEventTable(*_sorted_by_n([n_blocks, w_blocks]))
 
 

@@ -87,10 +87,26 @@ def test_gq_table(capsys):
     assert lines[10] == "10,4,1,5,1"
 
 
+def usage_error(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_gq_requires_q_or_bound(capsys):
-    code, _, err = run(capsys, "gq", "--field", "Q")
-    assert code == 2
-    assert "error" in err
+    err = usage_error(capsys, "gq", "--field", "Q")
+    assert "error: one of the arguments --Q --q is required" in err
+
+
+def test_gq_rejects_q_with_bound(capsys):
+    err = usage_error(capsys, "gq", "--field", "Q", "--Q", "3", "--q", "2")
+    assert "error: argument --q: not allowed with argument --Q" in err
+
+
+def test_non_integer_x_is_usage_error(capsys):
+    err = usage_error(capsys, "variance", "--field", "Q", "--x", "1e6", "--Q", "10")
+    assert "error: argument --x: invalid integer value: '1e6'" in err
 
 
 def test_variance_json_schema(capsys):

@@ -1,6 +1,8 @@
 import pytest
 
 import normvar as nv
+from normvar.arith import kronecker
+from normvar.fields import kernel_image
 from naive_oracle import naive_primes, naive_split
 
 
@@ -81,6 +83,23 @@ def test_conductor_ceiling_applies_to_the_conductor():
     for label in ("cyclo:1000001", "cyclo:2000002", "cyclo:1000004"):
         with pytest.raises(ValueError, match="ceiling"):
             nv.parse_field(label)
+
+
+def _kernel_by_definition(field):
+    m = field.conductor
+    if field.variant == "quadratic":
+        return [kronecker(field.discriminant, r) == 1 for r in range(m)]
+    return [r == 1 % m for r in range(m)]
+
+
+def test_kernel_image_follows_the_definition(oracle_field):
+    image = kernel_image(oracle_field, oracle_field.conductor)
+    assert image.tolist() == _kernel_by_definition(oracle_field)
+
+
+def test_kernel_image_at_the_conductor_ceiling():
+    field = nv.parse_field("quad:249999")
+    assert kernel_image(field, field.conductor).tolist() == _kernel_by_definition(field)
 
 
 def test_parse_error_is_informative():

@@ -27,8 +27,21 @@ def test_buckets_total_is_first_moment(field):
         assert math.fsum(t) == pytest.approx(s1, rel=1e-13)
 
 
-def _one_bincount(n, w, q):
-    return np.bincount(n % q, weights=w, minlength=q)
+def _fsum_classes(n, w, q):
+    """Per-class math.fsum of w over n = a (mod q): the correctly rounded class sums."""
+    r = np.asarray(n, dtype=np.int64) % q
+    ends = np.cumsum(np.bincount(r, minlength=q)).tolist()
+    ws = w[np.argsort(r, kind="stable")].tolist()
+    return np.array([math.fsum(ws[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)])
+
+
+def _assert_class_weights_exact(n, w, q):
+    slices = stats.weight_slices(w)
+    assert len(slices) <= 2
+    # the blocked tables equal one bincount per slice over all events
+    one = [np.bincount(np.asarray(n, dtype=np.int64) % q, weights=s, minlength=q) for s in slices]
+    assert np.array_equal(stats.slice_tables(n, slices, q), np.array(one).reshape(-1, q))
+    assert np.array_equal(class_weights(n, slices, q), _fsum_classes(n, w, q))
 
 
 def test_class_weights_equal_one_bincount(oracle_field, monkeypatch):
@@ -36,21 +49,59 @@ def test_class_weights_equal_one_bincount(oracle_field, monkeypatch):
     monkeypatch.setattr(stats, "_BLOCK", 256)
     ev = nv.norm_events(oracle_field, 10**4)
     for q in range(1, 301):
-        assert np.array_equal(class_weights(ev.n, ev.weight, q), _one_bincount(ev.n, ev.weight, q))
+        _assert_class_weights_exact(ev.n, ev.weight, q)
 
 
 def test_class_weights_equal_one_bincount_across_two_blocks():
     ev = nv.norm_events(nv.rational_field(), 10**6)
     assert stats._BLOCK < len(ev) <= 2 * stats._BLOCK
     for q in (1, 2, 3, 30, 97, 300, 1000, 9973):
-        assert np.array_equal(class_weights(ev.n, ev.weight, q), _one_bincount(ev.n, ev.weight, q))
+        _assert_class_weights_exact(ev.n, ev.weight, q)
 
 
 def test_class_weights_without_events():
     ev = nv.norm_events(nv.parse_field("cyclo:11"), 10)
     assert len(ev) == 0
+    slices = stats.weight_slices(ev.weight)
+    assert slices == ()
     for q in (1, 5, 11):
-        assert np.array_equal(class_weights(ev.n, ev.weight, q), np.zeros(q))
+        assert np.array_equal(class_weights(ev.n, slices, q), np.zeros(q))
+
+
+def test_folded_tables_equal_direct_passes(field):
+    Q = 300
+    ev = nv.norm_events(field, 10**5)
+    slices = stats.weight_slices(ev.weight)
+    for q in range(1, Q + 1):
+        tables = stats.slice_tables(ev.n, slices, q * (Q // q))
+        assert np.array_equal(stats.fold(tables, q), class_weights(ev.n, slices, q)), q
+
+
+def test_three_slices_fold_exactly_and_round_within_one_ulp():
+    # weights near 2^40 and near 1e-5, with full significands, need a third slice
+    rng = np.random.default_rng(7)
+    n = rng.integers(0, 10**6, 3000)
+    w = 1e-5 * (1 + rng.random(3000))
+    w[::50] = 2.0**40 * (1 + rng.random(60))
+    slices = stats.weight_slices(w)
+    assert len(slices) == 3
+    assert np.array_equal(sum(slices[::-1]), w)
+    Q = 120
+    for q in range(1, Q + 1):
+        direct = class_weights(n, slices, q)
+        folded = stats.fold(stats.slice_tables(n, slices, q * (Q // q)), q)
+        assert np.array_equal(folded, direct)
+        ref = _fsum_classes(n, w, q)
+        assert np.all(np.abs(direct - ref) <= np.spacing(ref)), q
+
+
+def test_slice_exactness_is_asserted(monkeypatch):
+    w = nv.norm_events(nv.rational_field(), 10**4).weight
+    quantum = stats._quantum
+    # a quantum 4 times too fine lets a slice's sum reach 2^53 quanta
+    monkeypatch.setattr(stats, "_quantum", lambda bound: quantum(bound) / 4)
+    with pytest.raises(AssertionError, match="slice sums would round"):
+        stats.weight_slices(w)
 
 
 def test_buckets_unchanged_by_a_variance_run(field):
@@ -139,12 +190,12 @@ def test_variance_thread_count_does_not_change_anything(field):
 
 @lru_cache(maxsize=None)
 def _reference_rows(label: str, x: int, Q: int):
-    """Per-q rows and outside mass from `n % q` and gcd masks, q = 1..Q."""
+    """Per-q rows and outside mass from per-class `math.fsum` and gcd masks, q = 1..Q."""
     field = nv.parse_field(label)
     ev = nv.norm_events(field, x)
     rows, outside = [], []
     for q in range(1, Q + 1):
-        t = np.bincount(ev.n % q, weights=ev.weight, minlength=q)
+        t = _fsum_classes(ev.n, ev.weight, q)
         res = np.arange(q)
         coprime = np.gcd(res, q) == 1
         g = math.gcd(field.conductor, q)
