@@ -39,7 +39,7 @@ from .reporting import (
     to_json_bytes,
     variance_payload,
 )
-from .sieve import event_columns
+from .sieve import EVENT_MEMORY_BUDGET, event_columns
 from .stats import (
     REL_TOL,
     large_sieve_check,
@@ -55,6 +55,19 @@ ORTHOGONALITY_MODULI = tuple(range(1, 31)) + (60, 120)
 #: moduli of the imprimitive characters the exchange check covers
 EXCHANGE_MODULI = range(2, 31)
 GQ_ORACLE_CAP = 300
+#: peak bytes per residue of `gq --q`, rounded up: q = 10,000,019 peaked
+#: at 1188 MiB, 125 bytes per residue with the interpreter
+GQ_BYTES_PER_RESIDUE = 128
+#: peak bytes per listed member of a `gq --Q` table, rounded up: from
+#: Q = 2000 to Q = 4000 the peak rose by 149 MiB for 3.65e6 more members,
+#: 43 bytes each
+GQ_BYTES_PER_MEMBER = 48
+# Within EVENT_MEMORY_BUDGET = 2^32 bytes, --q may reach 2^32 / 128 = 2^25.
+# A table over q <= Q lists sum phi(q) <= Q (Q + 1) / 2 members, so --Q may
+# reach the largest Q with 48 * Q (Q + 1) / 2 <= 2^32: 13,376 (4.2943e9
+# bytes; 13,377 needs 4.2950e9).
+GQ_MAX_MODULUS = EVENT_MEMORY_BUDGET // GQ_BYTES_PER_RESIDUE
+GQ_MAX_BOUND = 13_376
 OUTSIDE_MASS_CAP = 50
 LARGE_SIEVE_CAP = 300
 #: large-sieve cap inside variance reports: q = 101..300 would add about
@@ -224,6 +237,10 @@ def cmd_checks(args) -> int:
 
 
 def cmd_gq(args) -> int:
+    if args.q is not None and args.q > GQ_MAX_MODULUS:
+        raise ValueError(f"--q {args.q} exceeds the supported ceiling {GQ_MAX_MODULUS}")
+    if args.Q is not None and args.Q > GQ_MAX_BOUND:
+        raise ValueError(f"--Q {args.Q} exceeds the supported ceiling {GQ_MAX_BOUND}")
     field = parse_field(args.field)
     moduli = [args.q] if args.q is not None else range(1, args.Q + 1)
     _write(args.out, gq_csv(field, moduli))

@@ -15,15 +15,19 @@ per residue degree with numpy; building the table at x = 10^6 takes
 milliseconds.
 
 `_event_parts` is the one generator of events, in unsorted blocks.  The
-statistics read only n and its weight w = dk * lam, so the cached
-`norm_events` table holds those two columns, n as uint32: 12 bytes per
-event.
-`event_columns` sorts all five columns (n, p, k, dk, lam) from the same
-blocks without caching them, for the `dump-events` CSV and the tests.
+statistics read only n, the class sums of the weights w = dk * lam and
+the moments S1 = sum w and S2 = sum w^2, so `norm_events` is the one
+cache of event data: its table holds n as uint32, the weights split
+into slices whose sums are exact in any order (`weight_slices`, two
+float64 slices for every table measured: 20 bytes per event) and
+(S1, S2).  `event_columns` sorts all five columns (n, p, k, dk, lam)
+from the same blocks without caching them, for the `dump-events` CSV and
+the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -37,8 +41,9 @@ from .fields import FieldSpec, residue_degrees, split_type
 EVENT_MEMORY_BUDGET = 4 << 30
 #: peak bytes per event of a variance run, rounded up: `variance --x 1e8
 #: --Q 1` for Q peaked at 340 MiB for the 5.76e6 events (62 bytes each,
-#: with the interpreter) while n was int64, and at 274 MiB (50 bytes) with
-#: n as uint32 and the two weight slices of `stats.weight_slices` cached
+#: with the interpreter) while n was int64, and at 273.8 MiB (50 bytes)
+#: with n as uint32 (from a launcher's `wait4`).  Sorting the blocks sets
+#: that peak; the table it leaves holds 20 bytes per event
 PEAK_BYTES_PER_EVENT = 64
 # The events up to x are at most the prime powers up to x, fewer than
 # 1.26 x / log x for x > 2477 (pi(x) < 1.25506 x / log x by Rosser and
@@ -99,21 +104,32 @@ def primes_up_to(x: int) -> np.ndarray:
 class NormEventTable:
     """The norm events of one field up to x, as the statistics read them.
 
-    `n` (uint32, as every n <= MAX_SIEVE_LIMIT < 2^32) holds the norms
-    in ascending order and `weight` (float64) the matching dk * lam; both
-    are read-only.
+    `n` (uint32, as every n <= MAX_SIEVE_LIMIT < 2^32) holds the norms in
+    ascending order.  `slices` holds the matching weights w = dk * lam
+    split by `weight_slices`: each slice sums exactly in any order, and
+    the slices add up to w, so adding them from the smallest rebuilds w
+    bit for bit (`weights`).  `moments` is (S1, S2), the correctly
+    rounded sums of w and w^2.  Every array is read-only.
     """
 
-    __slots__ = ("n", "weight")
+    __slots__ = ("n", "slices", "moments")
 
-    def __init__(self, n: np.ndarray, weight: np.ndarray):
+    def __init__(self, n: np.ndarray, slices: tuple[np.ndarray, ...], moments: tuple[float, float]):
         self.n = n
-        self.weight = weight
-        n.setflags(write=False)
-        weight.setflags(write=False)
+        self.slices = slices
+        self.moments = moments
+        for column in (n, *slices):
+            column.setflags(write=False)
 
     def __len__(self) -> int:
         return self.n.size
+
+    def weights(self, rows=slice(None)) -> np.ndarray:
+        """The weights w[rows], rebuilt by adding the slices from the smallest."""
+        w = np.zeros(self.n[rows].shape)
+        for piece in self.slices[::-1]:
+            w += piece[rows]
+        return w
 
 
 class EventColumns(NamedTuple):
@@ -168,8 +184,50 @@ def _sorted_by_n(columns: list[list[np.ndarray]]) -> list[np.ndarray]:
     return [n[order]] + [np.concatenate(blocks)[order] for blocks in columns[1:]]
 
 
-@lru_cache(maxsize=16)
-def _event_table(field: FieldSpec, x: int) -> NormEventTable:
+#: a sum of multiples of a power of two u is exact while it stays below 2^53 u
+_EXACT_UNITS = 2.0**53
+#: weights squared and summed at a time for S2
+_SQUARE_BLOCK = 1 << 16
+
+
+def _quantum(bound: float) -> float:
+    """The power of two u with bound < 2^52 u <= 2 * bound."""
+    return math.ldexp(1.0, math.frexp(bound)[1] - 52)
+
+
+def weight_slices(w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Split w into float64 slices at fixed binary quanta; the slices add up to w exactly.
+
+    Slice i holds the residual left by the slices before it, rounded to a
+    multiple of a power of two u_i (the pre-rounding of Demmel and Nguyen,
+    "Fast reproducible floating-point summation", ARITH 2013).  u_1 comes
+    from #events * max |w|, an upper bound on sum |w|, and each next u
+    from #events * (previous u) / 2, which bounds the residual's sum, so
+    every sum of entries of one slice, in any order, is a multiple of its
+    u below 2^53 u in magnitude and therefore exact.  Slices are peeled
+    until the residual is exactly 0; each residual is exact, so adding
+    the slices from the smallest rebuilds w.  Two sufficed for every
+    event table measured: six fields at x = 1e6 and 1e7, and Q at x = 1e8.
+    """
+    residual = np.array(w, dtype=np.float64)
+    count = residual.size
+    bound = count * float(np.abs(residual).max(initial=0.0))
+    slices = []
+    while residual.any():
+        u = _quantum(bound)
+        # |entry| <= |residual entry| + u / 2, so every partial sum stays below this
+        assert bound + count * u / 2 < _EXACT_UNITS * u, "slice sums would round"
+        piece = np.divide(residual, u)
+        np.round(piece, out=piece)
+        piece *= u
+        residual -= piece
+        slices.append(piece)
+        bound = count * u / 2
+    return tuple(slices)
+
+
+def _sorted_events(field: FieldSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """n (uint32) and w = dk * lam of every event up to x, sorted by n."""
     # the block's other columns die with it, so only n and weight are held
     n_blocks, w_blocks = [np.empty(0, dtype=np.uint32)], [np.empty(0)]
     for n, _, _, _, _, w in _event_parts(field, x):
@@ -177,11 +235,29 @@ def _event_table(field: FieldSpec, x: int) -> NormEventTable:
         w_blocks.append(w)
     # _event_parts has checked x <= MAX_SIEVE_LIMIT, so every n <= x fits
     assert x <= MAX_SIEVE_LIMIT < 2**32
-    return NormEventTable(*_sorted_by_n([n_blocks, w_blocks]))
+    n, w = _sorted_by_n([n_blocks, w_blocks])
+    return n, w
+
+
+@lru_cache(maxsize=16)
+def _event_table(field: FieldSpec, x: int) -> NormEventTable:
+    # the unsorted blocks are released with _sorted_events' frame before
+    # slicing: held through it, they raised the peak of x = 1e7 by 5 MiB
+    n, w = _sorted_events(field, x)
+    slices = weight_slices(w)
+    # each slice's sum is exact, so S1 is fsum(w); fsum is exact too, so
+    # summing the squares a block at a time gives the same S2 as at once
+    s1 = math.fsum(piece.sum() for piece in slices)
+    blocks = range(0, w.size, _SQUARE_BLOCK)
+    squares = (np.square(w[lo : lo + _SQUARE_BLOCK]).tolist() for lo in blocks)
+    s2 = math.fsum(itertools.chain.from_iterable(squares))
+    return NormEventTable(n, slices, (s1, s2))
 
 
 def norm_events(field: FieldSpec, x: int) -> NormEventTable:
-    """Cached table of the norms n = p^k <= x and their weights dk * lam.
+    """Cached table of the norms n = p^k <= x, the slices of their weights dk * lam and (S1, S2).
+
+    This is the one cache of event data per (field, x).
 
     Args:
         field: base field descriptor.
@@ -203,14 +279,11 @@ def event_columns(field: FieldSpec, x: int) -> EventColumns:
     return EventColumns(*_sorted_by_n(columns))
 
 
-@lru_cache(maxsize=16)
 def event_moment_sums(field: FieldSpec, x: int) -> tuple[float, float]:
     """First and second moments of event weights: sums of dk*lam and (dk*lam)^2.
 
     The first moment is the total prime-power norm mass up to x and is
     asymptotic to x; the second moment is the right-hand-side weight of
-    the large-sieve bound.
+    the large-sieve bound.  Both are read from the cached event table.
     """
-    # iterate the array itself: a list of every weight would set the peak RSS
-    w = norm_events(field, x).weight
-    return math.fsum(w), math.fsum(v * v for v in w)
+    return _event_table(field, int(x)).moments

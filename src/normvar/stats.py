@@ -2,13 +2,13 @@
 
 The per-residue weight table modulo q accumulates dk * lam over events
 with n = a (mod q).  Every class sum is exact and then rounded once: the
-weights are split once per (field, x) into slices at fixed binary quanta
-(`weight_slices`), each slice's class sums are exact in any order
-(`slice_tables`), and `fold` adds the slices.  Because exact sums do not
-depend on their grouping, the table modulo q folds out of the table
-modulo any multiple L of q bit for bit, so the variance loop passes over
-the events once per L in (Q/2, Q] and folds each q <= Q out of
-L = q * (Q // q).  `class_weights` is the direct route for one q, and
+cached event table (`sieve.norm_events`) holds the weights as slices at
+fixed binary quanta (`sieve.weight_slices`), each slice's class sums are
+exact in any order (`slice_tables`), and `fold` adds the slices.
+Because exact sums do not depend on their grouping, the table modulo q
+folds out of the table modulo any multiple L of q bit for bit, so the
+variance loop passes over the events once per L in (Q/2, Q] and folds
+each q <= Q out of L = q * (Q // q).  `class_weights` is the direct route for one q, and
 `residue_buckets` caches its read-only result for the checks below.  On
 admissible classes the expected size is x / (number of admissible
 classes); the variance report sums the squared deviations over all
@@ -62,43 +62,6 @@ def rel_gap(a, b, floor: float = 1.0) -> float:
 
 #: events whose remainders `slice_tables` holds at a time
 _BLOCK = 1 << 16
-#: a sum of multiples of a power of two u is exact while it stays below 2^53 u
-_EXACT_UNITS = 2.0**53
-
-
-def _quantum(bound: float) -> float:
-    """The power of two u with bound < 2^52 u <= 2 * bound."""
-    return math.ldexp(1.0, math.frexp(bound)[1] - 52)
-
-
-def weight_slices(w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Split w into float64 slices at fixed binary quanta; the slices add up to w exactly.
-
-    Slice i holds the residual left by the slices before it, rounded to a
-    multiple of a power of two u_i (the pre-rounding of Demmel and Nguyen,
-    "Fast reproducible floating-point summation", ARITH 2013).  u_1 comes
-    from #events * max |w|, an upper bound on sum |w|, and each next u
-    from #events * (previous u) / 2, which bounds the residual's sum, so
-    every sum of entries of one slice, in any order, is a multiple of its
-    u below 2^53 u in magnitude and therefore exact.  Slices are peeled
-    until the residual is exactly 0.  Two sufficed for every event table
-    measured: six fields at x = 1e6 and 1e7, and Q at x = 1e8.
-    """
-    residual = np.array(w, dtype=np.float64)
-    count = residual.size
-    bound = count * float(np.abs(residual).max(initial=0.0))
-    slices = []
-    while residual.any():
-        u = _quantum(bound)
-        # |entry| <= |residual entry| + u / 2, so every partial sum stays below this
-        assert bound + count * u / 2 < _EXACT_UNITS * u, "slice sums would round"
-        piece = np.divide(residual, u)
-        np.round(piece, out=piece)
-        piece *= u
-        residual -= piece
-        slices.append(piece)
-        bound = count * u / 2
-    return tuple(slices)
 
 
 def slice_tables(n: np.ndarray, slices: tuple[np.ndarray, ...], modulus: int) -> np.ndarray:
@@ -143,19 +106,12 @@ def fold(tables: np.ndarray, q: int) -> np.ndarray:
 def class_weights(n: np.ndarray, slices: tuple[np.ndarray, ...], q: int) -> np.ndarray:
     """Class weights t[a] = sum of w over n = a (mod q), a = 0..q-1, for n >= 0.
 
-    `slices` is `weight_slices(w)`.  Every class sum is exact before the
-    slices are combined, so t is independent of the order of the events
-    and, with at most two slices, equals a per-class `math.fsum` of w.
+    `slices` is `sieve.weight_slices(w)`.  Every class sum is exact
+    before the slices are combined, so t is independent of the order of
+    the events and, with at most two slices, equals a per-class
+    `math.fsum` of w.
     """
     return fold(slice_tables(n, slices, q), q)
-
-
-@lru_cache(maxsize=16)
-def _event_slices(field: FieldSpec, x: int) -> tuple[np.ndarray, ...]:
-    slices = weight_slices(norm_events(field, x).weight)
-    for piece in slices:
-        piece.setflags(write=False)
-    return slices
 
 
 @lru_cache(maxsize=512)
@@ -163,7 +119,8 @@ def residue_buckets(field: FieldSpec, x: int, q: int) -> np.ndarray:
     """Cached, read-only class weights t[a] of the events up to x, a = 0..q-1."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    t = class_weights(norm_events(field, x).n, _event_slices(field, x), q)
+    ev = norm_events(field, x)
+    t = class_weights(ev.n, ev.slices, q)
     t.setflags(write=False)
     return t
 
@@ -237,6 +194,15 @@ class VarianceReport:
     dyadic: tuple[DyadicBlock, ...]
 
 
+#: largest exponent M a variance report accepts.  The report reads
+#: (log x)^(M+1) (`small_q_cutoff`) and (log x)^-M (the range condition),
+#: and for 2 <= x <= MAX_SIEVE_LIMIT = 1.1e9, log x lies in [0.693, 20.82].
+#: (log x)^(M+1) <= 20.82^(M+1) = e^(3.0357 (M+1)) stays below the largest
+#: double, e^709.78, while M + 1 <= 233; (log x)^-M <= 0.693^-M = e^(0.3665 M)
+#: while M <= 1936.  Both are finite for every M <= 232.
+MAX_M = 232
+
+
 def small_q_cutoff(x: int, M: int) -> float:
     """Boundary (log x)^(M+1) separating the small-q block of the profile."""
     return math.log(x) ** (M + 1)
@@ -281,7 +247,8 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1, threads: int = 1) -> 
         field: base field descriptor.
         x: event bound, x >= 2.
         Q: modulus bound, 1 <= Q <= x.
-        M: exponent selecting the small-q cutoff (log x)^(M+1).
+        M: exponent selecting the small-q cutoff (log x)^(M+1),
+            0 <= M <= MAX_M.
         threads: worker threads for the per-q loop, at most one per
             block of 128 multiples L; the result is identical for any
             value because every class sum is exact and the reduction
@@ -294,7 +261,10 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1, threads: int = 1) -> 
         raise ValueError(f"x must be >= 2, got {x}")
     if not 1 <= Q <= x:
         raise ValueError(f"Q must satisfy 1 <= Q <= x, got Q={Q}, x={x}")
-    n, slices = norm_events(field, x).n, _event_slices(field, x)
+    if not 0 <= M <= MAX_M:
+        msg = f"M must satisfy 0 <= M <= {MAX_M}, where (log x)^(M+1) stays finite, got {M}"
+        raise ValueError(msg)
+    ev = norm_events(field, x)
 
     counts = np.zeros(Q + 1, dtype=np.int64)
     contributions = np.zeros(Q + 1)
@@ -314,7 +284,7 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1, threads: int = 1) -> 
         lo = int(ends[groups.start - 1]) if groups.start else 0
         for hi in ends[groups].tolist():
             group = by_multiple[lo:hi].tolist()
-            tables = slice_tables(n, slices, group[0] * (Q // group[0]))
+            tables = slice_tables(ev.n, ev.slices, group[0] * (Q // group[0]))
             for q in group:
                 record(q, fold(tables, q))
             lo = hi
@@ -435,7 +405,7 @@ def primitive_exchange_diff(field: FieldSpec, x: int, chi: DirichletCharacter) -
     explicit = 0j
     if rows.size:
         vals = star.value_table()[ev.n[rows] % chi.conductor]
-        explicit = -complex(np.dot(vals, ev.weight[rows]))
+        explicit = -complex(np.dot(vals, ev.weights(rows)))
     bound = 2.0 * field.degree * math.log(chi.q * x) ** 2
     return ExchangeDiff(
         q=chi.q,

@@ -183,6 +183,35 @@ def test_variance_rejects_bad_window(capsys):
     assert "Q must satisfy" in err
 
 
+def test_variance_M_above_ceiling_is_usage_error(capsys):
+    # (log x)^(M+1) overflows a double: refused before any events are built
+    argv = ["variance", "--field", "Q", "--x", "1000", "--Q", "10", "--M", "400"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: M must satisfy") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", [["--q", str(10**12)], ["--Q", str(10**6)]], ids=["q", "Q"])
+def test_gq_modulus_above_ceiling_is_usage_error(capsys, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gq", "--field", "Q", *bound)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bound[0]} ") and "ceiling" in err
+
+
+def test_gq_ceilings_are_the_memory_budget():
+    budget = cli.EVENT_MEMORY_BUDGET
+
+    def table_bytes(Q):
+        # sum of phi(q) over q <= Q is at most Q (Q + 1) / 2
+        return cli.GQ_BYTES_PER_MEMBER * Q * (Q + 1) // 2
+
+    assert cli.GQ_MAX_MODULUS * cli.GQ_BYTES_PER_RESIDUE <= budget
+    assert (cli.GQ_MAX_MODULUS + 1) * cli.GQ_BYTES_PER_RESIDUE > budget
+    assert table_bytes(cli.GQ_MAX_BOUND) <= budget < table_bytes(cli.GQ_MAX_BOUND + 1)
+
+
 def test_malformed_field_is_usage_error(capsys):
     code, _, err = run(capsys, "variance", "--field", "quad:4", "--x", "100", "--Q", "10")
     assert code == 2

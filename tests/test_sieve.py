@@ -105,7 +105,11 @@ def _assert_table_matches_columns(field, x):
     table, cols = nv.norm_events(field, x), nv.event_columns(field, x)
     assert table.n.dtype == np.uint32 and cols.n.dtype == np.int64
     assert np.array_equal(table.n, cols.n)
-    assert np.array_equal(table.weight, cols.dk * cols.lam)
+    w = cols.dk * cols.lam
+    assert np.array_equal(table.weights(), w)
+    slices = sieve.weight_slices(w)
+    assert len(table.slices) == len(slices)
+    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(table.slices, slices))
 
 
 def test_table_matches_columns(oracle_field):
@@ -113,7 +117,12 @@ def test_table_matches_columns(oracle_field):
 
 
 def test_table_matches_columns_at_large_x():
-    _assert_table_matches_columns(nv.rational_field(), 10**6)
+    field, x = nv.rational_field(), 10**6
+    _assert_table_matches_columns(field, x)
+    # 78,498 events: S2 is summed over two blocks of squares
+    w = nv.norm_events(field, x).weights()
+    assert len(w) > sieve._SQUARE_BLOCK
+    assert nv.event_moment_sums(field, x) == (math.fsum(w.tolist()), math.fsum((w * w).tolist()))
 
 
 def test_event_table_sorted_and_immutable(field):
@@ -122,8 +131,13 @@ def test_event_table_sorted_and_immutable(field):
     assert np.all(table.n[1:] > table.n[:-1])
     with pytest.raises(ValueError):
         table.n[0] = 1
-    with pytest.raises(ValueError):
-        table.weight[0] = 1.0
+    assert table.slices
+    for piece in table.slices:
+        with pytest.raises(ValueError):
+            piece[0] = 1.0
+    # the exchange check rebuilds the weights of a few rows only
+    rows = np.array([0, 3, 5, len(table) - 1])
+    assert np.array_equal(table.weights(rows), table.weights()[rows])
 
 
 def test_events_rejects_tiny_x(field):
@@ -145,6 +159,33 @@ def test_moment_sums_gaussian_x10():
     s1, s2 = nv.event_moment_sums(nv.parse_field("quad:-1"), 10)
     assert s1 == pytest.approx(3 * LOG2 + 2 * LOG5 + 2 * LOG3, rel=1e-15)
     assert s2 == pytest.approx(3 * LOG2**2 + (2 * LOG5) ** 2 + (2 * LOG3) ** 2, rel=1e-15)
+
+
+def test_moment_sums_are_fsums_of_the_weights(oracle_field):
+    cols = nv.event_columns(oracle_field, 2000)
+    w = cols.dk * cols.lam
+    s1, s2 = nv.event_moment_sums(oracle_field, 2000)
+    assert s1 == math.fsum(w.tolist())
+    assert s2 == math.fsum((w * w).tolist())
+
+
+def test_second_moment_is_rounded_once_across_blocks(monkeypatch):
+    # each block's squares sum to the tie 1 + 2^-53, which alone rounds to 1;
+    # all three blocks sum to 3 + 3 * 2^-53, which rounds up to 3 + 2^-51
+    w = np.array([1.0, 2.0**-27, 2.0**-27] * 3)
+    monkeypatch.setattr(sieve, "_SQUARE_BLOCK", 3)
+    monkeypatch.setattr(sieve, "_sorted_events", lambda field, x: (np.arange(9, dtype=np.uint32), w))
+    table = sieve._event_table.__wrapped__(nv.rational_field(), 10)
+    assert table.moments == (math.fsum(w.tolist()), 3 + 2.0**-51)
+
+
+def test_slice_exactness_is_asserted(monkeypatch):
+    w = nv.norm_events(nv.rational_field(), 10**4).weights()
+    quantum = sieve._quantum
+    # a quantum 4 times too fine lets a slice's sum reach 2^53 quanta
+    monkeypatch.setattr(sieve, "_quantum", lambda bound: quantum(bound) / 4)
+    with pytest.raises(AssertionError, match="slice sums would round"):
+        sieve.weight_slices(w)
 
 
 def test_first_moment_tracks_x(field):

@@ -7,6 +7,7 @@ import pytest
 import normvar as nv
 from normvar import stats
 from normvar.fields import kernel_image
+from normvar.sieve import weight_slices
 from normvar.stats import class_weights
 from naive_oracle import naive_variance
 
@@ -36,7 +37,7 @@ def _fsum_classes(n, w, q):
 
 
 def _assert_class_weights_exact(n, w, q):
-    slices = stats.weight_slices(w)
+    slices = weight_slices(w)
     assert len(slices) <= 2
     # the blocked tables equal one bincount per slice over all events
     one = [np.bincount(np.asarray(n, dtype=np.int64) % q, weights=s, minlength=q) for s in slices]
@@ -48,22 +49,24 @@ def test_class_weights_equal_one_bincount(oracle_field, monkeypatch):
     # blocks of 256 events, so every field's table spans several blocks
     monkeypatch.setattr(stats, "_BLOCK", 256)
     ev = nv.norm_events(oracle_field, 10**4)
+    w = ev.weights()
     for q in range(1, 301):
-        _assert_class_weights_exact(ev.n, ev.weight, q)
+        _assert_class_weights_exact(ev.n, w, q)
 
 
 def test_class_weights_equal_one_bincount_across_two_blocks():
     ev = nv.norm_events(nv.rational_field(), 10**6)
     assert stats._BLOCK < len(ev) <= 2 * stats._BLOCK
+    w = ev.weights()
     for q in (1, 2, 3, 30, 97, 300, 1000, 9973):
-        _assert_class_weights_exact(ev.n, ev.weight, q)
+        _assert_class_weights_exact(ev.n, w, q)
 
 
 def test_class_weights_without_events():
     ev = nv.norm_events(nv.parse_field("cyclo:11"), 10)
     assert len(ev) == 0
-    slices = stats.weight_slices(ev.weight)
-    assert slices == ()
+    slices = ev.slices
+    assert slices == () and weight_slices(ev.weights()) == ()
     for q in (1, 5, 11):
         assert np.array_equal(class_weights(ev.n, slices, q), np.zeros(q))
 
@@ -71,7 +74,7 @@ def test_class_weights_without_events():
 def test_folded_tables_equal_direct_passes(field):
     Q = 300
     ev = nv.norm_events(field, 10**5)
-    slices = stats.weight_slices(ev.weight)
+    slices = ev.slices
     for q in range(1, Q + 1):
         tables = stats.slice_tables(ev.n, slices, q * (Q // q))
         assert np.array_equal(stats.fold(tables, q), class_weights(ev.n, slices, q)), q
@@ -83,9 +86,11 @@ def test_three_slices_fold_exactly_and_round_within_one_ulp():
     n = rng.integers(0, 10**6, 3000)
     w = 1e-5 * (1 + rng.random(3000))
     w[::50] = 2.0**40 * (1 + rng.random(60))
-    slices = stats.weight_slices(w)
+    slices = weight_slices(w)
     assert len(slices) == 3
     assert np.array_equal(sum(slices[::-1]), w)
+    table = nv.NormEventTable(n.astype(np.uint32), slices, (0.0, 0.0))
+    assert np.array_equal(table.weights(), w)
     Q = 120
     for q in range(1, Q + 1):
         direct = class_weights(n, slices, q)
@@ -93,15 +98,6 @@ def test_three_slices_fold_exactly_and_round_within_one_ulp():
         assert np.array_equal(folded, direct)
         ref = _fsum_classes(n, w, q)
         assert np.all(np.abs(direct - ref) <= np.spacing(ref)), q
-
-
-def test_slice_exactness_is_asserted(monkeypatch):
-    w = nv.norm_events(nv.rational_field(), 10**4).weight
-    quantum = stats._quantum
-    # a quantum 4 times too fine lets a slice's sum reach 2^53 quanta
-    monkeypatch.setattr(stats, "_quantum", lambda bound: quantum(bound) / 4)
-    with pytest.raises(AssertionError, match="slice sums would round"):
-        stats.weight_slices(w)
 
 
 def test_buckets_unchanged_by_a_variance_run(field):
@@ -195,7 +191,7 @@ def _reference_rows(label: str, x: int, Q: int):
     ev = nv.norm_events(field, x)
     rows, outside = [], []
     for q in range(1, Q + 1):
-        t = _fsum_classes(ev.n, ev.weight, q)
+        t = _fsum_classes(ev.n, ev.weights(), q)
         res = np.arange(q)
         coprime = np.gcd(res, q) == 1
         g = math.gcd(field.conductor, q)
@@ -236,6 +232,26 @@ def test_dyadic_small_q_cutoff_value():
     # cutoff above Q collapses the profile to a single block
     collapsed = nv.variance(nv.rational_field(), 1000, 20, M=1)
     assert len(collapsed.dyadic) == 1
+
+
+def test_M_ceiling_keeps_every_power_of_log_x_finite():
+    # the widest log x is at the sieve ceiling, the smallest at x = 2
+    assert math.isfinite(nv.small_q_cutoff(nv.MAX_SIEVE_LIMIT, stats.MAX_M))
+    assert math.isfinite(math.log(2) ** -stats.MAX_M)
+    with pytest.raises(OverflowError):
+        nv.small_q_cutoff(nv.MAX_SIEVE_LIMIT, stats.MAX_M + 1)
+    report = nv.variance(nv.rational_field(), 2, 1, M=stats.MAX_M)
+    assert report.small_q_cutoff == math.log(2) ** (stats.MAX_M + 1)
+
+
+@pytest.mark.parametrize("M", [-1, stats.MAX_M + 1, 400])
+def test_variance_rejects_M_outside_the_ceiling(M, monkeypatch):
+    def never(*args):
+        raise AssertionError("built events for an M that cannot be served")
+
+    monkeypatch.setattr(stats, "norm_events", never)
+    with pytest.raises(ValueError, match="M must satisfy"):
+        nv.variance(nv.rational_field(), 1000, 10, M=M)
 
 
 def test_range_condition_flag():
