@@ -17,7 +17,7 @@ field = parse_field("quad:-1")
 x, Q = 10**5, 10**4
 
 # M sets the width of the admissible window: Q may sit as low as x/log^M x.
-report = variance(field, x, Q, M=2, threads=4)
+report = variance(field, x, Q, M=2)
 print(f"field {report.field.label()}, x = {report.x}, Q = {report.Q}")
 print(f"V = {report.total:.3f}")
 print(f"V / (x Q log x) = {report.ratio_bdh:.4f}   (envelope constant, order 1)")

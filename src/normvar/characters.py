@@ -45,6 +45,18 @@ class _Component:
     order: int
 
 
+def unit_mask(q: int) -> np.ndarray:
+    """Boolean mask over 0..q-1 of the units modulo q, q >= 1.
+
+    Every multiple of each prime factor of q is struck out, so no gcd is
+    taken per residue.
+    """
+    mask = np.ones(q, dtype=bool)
+    for p in factorize(q):
+        mask[::p] = False
+    return mask
+
+
 class UnitGroup:
     """Cyclic decomposition of (Z/qZ)^* with per-residue discrete logs."""
 
@@ -55,7 +67,7 @@ class UnitGroup:
             raise ValueError(f"modulus must be >= 1, got {q}")
         self.q = q
         res = np.arange(q, dtype=np.int64)
-        self.coprime = np.gcd(res, q) == 1
+        self.coprime = unit_mask(q)
         comps: list[_Component] = []
         cols: list[np.ndarray] = []
         for p, a in factorize(q).items():

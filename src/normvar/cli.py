@@ -130,9 +130,10 @@ def class_index(field, Q: int) -> Check:
 
 def orthogonality(field, x: int) -> Check:
     """Parseval identity on the grid ORTHOGONALITY_MODULI for every Q: it holds per q."""
-    gap = max(orthogonality_check(field, x, q).gap for q in ORTHOGONALITY_MODULI)
-    detail = f"max gap {format_float(gap, 3)} over {len(ORTHOGONALITY_MODULI)} moduli"
-    return Check("orthogonality", gap <= REL_TOL, detail, gap)
+    results = [orthogonality_check(field, x, q) for q in ORTHOGONALITY_MODULI]
+    worst = max(results, key=lambda r: r.gap)  # the first q with the largest gap
+    detail = f"max gap {format_float(worst.gap, 3)} at q={worst.q} over {len(results)} moduli"
+    return Check("orthogonality", worst.gap <= REL_TOL, detail, worst.gap)
 
 
 def outside_mass(report) -> Check:
@@ -163,10 +164,11 @@ def char_exchange(field, x: int) -> Check:
         for chi in enumerate_characters(q)
         if not chi.primitive
     ]
-    gap = max((d.gap for d in diffs), default=0.0)
-    passed = gap <= REL_TOL and all(d.bound_ok for d in diffs)
-    detail = f"max gap {format_float(gap, 3)} over {len(diffs)} characters"
-    return Check("char-exchange", passed, detail, gap)
+    worst = max(diffs, key=lambda d: d.gap)  # the first character with the largest gap
+    passed = worst.gap <= REL_TOL and all(d.bound_ok for d in diffs)
+    at = f"at q={worst.q}, conductor {worst.conductor},"
+    detail = f"max gap {format_float(worst.gap, 3)} {at} over {len(diffs)} characters"
+    return Check("char-exchange", passed, detail, worst.gap)
 
 
 def dyadic_partition(report) -> Check:
@@ -205,7 +207,7 @@ def _report_field(args):
 
 def cmd_variance(args) -> int:
     field = _report_field(args)
-    report = variance(field, args.x, args.Q, M=args.M, threads=args.threads)
+    report = variance(field, args.x, args.Q, M=args.M)
     checks = standard_checks(field, args.x, args.Q)
     if args.format == "json":
         config = run_config(field, x=args.x, Q=args.Q, M=args.M, format=args.format)
@@ -283,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, x=True, Q=True)
     p.add_argument("--M", type=_int_ge(0), default=1, help="small-q cutoff exponent")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=_int_ge(1), default=1)
     p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("checks", help="identity and oracle check suites")

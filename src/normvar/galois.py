@@ -8,10 +8,10 @@ image of H modulo g (`fields.kernel_image`).  Its conductor inside
 Q(zeta_q) is the least d | g such that every unit a = 1 (mod d) lies in
 that image.  `residue_masks` builds both masks without a gcd or a
 remainder per residue: the units by striking out the multiples of each
-prime factor of q, the admissible classes by repeating the image modulo
-g, which divides q, q / g times.  The annihilator, the characters
-trivial on every admissible class, are the rows of
-`characters.phase_matrix` that vanish on every member.
+prime factor of q (`characters.unit_mask`), the admissible classes by
+repeating the image modulo g, which divides q, q / g times.  The
+annihilator, the characters trivial on every admissible class, are the
+rows of `characters.phase_matrix` that vanish on every member.
 
 Next to the closed form there is an empirical construction, the
 multiplicative closure of actually observed norm residues p^f mod q over
@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, euler_phi, factorize
-from .characters import phase_matrix
+from .arith import divisors, euler_phi
+from .characters import phase_matrix, unit_mask
 from .fields import FieldSpec, kernel_image, residue_degrees
 from .sieve import primes_up_to
 
@@ -57,16 +57,13 @@ class NormClassGroup:
 def residue_masks(field: FieldSpec, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks over 0..q-1: (admissible classes, units).
 
-    The units are 0..q-1 with every multiple of each prime factor of q
-    struck out, so no gcd is taken per residue.  Because g = gcd(m, q)
-    divides q, the admissible classes are the units where the image of
-    the kernel modulo g, repeated q / g times, is set.
+    The units come from `characters.unit_mask`, with no gcd per residue.
+    Because g = gcd(m, q) divides q, the admissible classes are the units
+    where the image of the kernel modulo g, repeated q / g times, is set.
     """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    coprime = np.ones(q, dtype=bool)
-    for p in factorize(q):
-        coprime[::p] = False
+    coprime = unit_mask(q)
     g = math.gcd(field.conductor, q)
     if _image_conductor(field, g) == 1:
         return coprime, coprime
@@ -81,7 +78,7 @@ def subfield_conductor(field: FieldSpec, q: int) -> int:
 @lru_cache(maxsize=1024)
 def _image_conductor(field: FieldSpec, g: int) -> int:
     image = kernel_image(field, g)
-    units = np.flatnonzero(np.gcd(np.arange(g), g) == 1)
+    units = np.flatnonzero(unit_mask(g))
     return next(d for d in divisors(g) if image[units[units % d == 1 % d]].all())
 
 

@@ -1,6 +1,6 @@
 """Deterministic report serialization.
 
-Reports must be byte-identical across reruns and thread counts, so JSON
+Reports must be byte-identical across reruns and processes, so JSON
 is emitted by a small fixed writer (insertion-ordered keys, floats at 15
 significant digits, no timestamps) instead of anything locale- or
 version-sensitive.
@@ -57,8 +57,8 @@ def to_json_bytes(obj) -> bytes:
 def run_config(field: FieldSpec, **kwargs) -> dict:
     """Invocation parameters embedded in every report.
 
-    Execution-only knobs (thread count, output path) are excluded so
-    reruns with different parallelism stay byte-identical.
+    The only execution knob, the output path (--out), is excluded so a
+    report does not depend on where it is written.
     """
     cfg = {"field": field.label()}
     cfg.update(kwargs)

@@ -7,8 +7,9 @@ fixed binary quanta (`sieve.weight_slices`), each slice's class sums are
 exact in any order (`slice_tables`), and `fold` adds the slices.
 Because exact sums do not depend on their grouping, the table modulo q
 folds out of the table modulo any multiple L of q bit for bit, so the
-variance loop passes over the events once per L in (Q/2, Q] and folds
-each q <= Q out of L = q * (Q // q).  `class_weights` is the direct route for one q, and
+variance loop makes one sequential pass over the events per L in
+(Q/2, Q], folds each q <= Q out of L = q * (Q // q), and sums the per-q
+rows in ascending q.  `class_weights` is the direct route for one q, and
 `residue_buckets` caches its read-only result for the checks below.  On
 admissible classes the expected size is x / (number of admissible
 classes); the variance report sums the squared deviations over all
@@ -29,7 +30,6 @@ Identity checks pair two independent code paths over the same events:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -240,8 +240,12 @@ def _grouped_by_multiple(Q: int) -> tuple[np.ndarray, np.ndarray]:
     return order + 1, ends
 
 
-def variance(field: FieldSpec, x: int, Q: int, M: int = 1, threads: int = 1) -> VarianceReport:
+def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     """Variance of residue-class weights around x / (class count).
+
+    One sequential pass over the events per L in (Q/2, Q] folds out the
+    class weights of every q with L = q * (Q // q); the per-q rows are
+    then summed with `math.fsum` in ascending q.
 
     Args:
         field: base field descriptor.
@@ -249,10 +253,6 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1, threads: int = 1) -> 
         Q: modulus bound, 1 <= Q <= x.
         M: exponent selecting the small-q cutoff (log x)^(M+1),
             0 <= M <= MAX_M.
-        threads: worker threads for the per-q loop, at most one per
-            block of 128 multiples L; the result is identical for any
-            value because every class sum is exact and the reduction
-            happens in ascending q after all workers finish.
 
     Returns:
         VarianceReport with per-q and dyadic decompositions.
@@ -269,33 +269,19 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1, threads: int = 1) -> 
     counts = np.zeros(Q + 1, dtype=np.int64)
     contributions = np.zeros(Q + 1)
     outside = np.zeros(Q + 1)
-
-    def record(q: int, t: np.ndarray) -> None:
-        member, coprime = residue_masks(field, q)
-        counts[q] = count = np.count_nonzero(member)
-        dev = t[member] - x / count
-        contributions[q] = dev @ dev
-        outside[q] = t[coprime & ~member].sum()
-
-    # one pass over the events per L in (Q/2, Q], each q of L folded out of it
     by_multiple, ends = _grouped_by_multiple(Q)
-
-    def run_groups(groups: range) -> None:
-        lo = int(ends[groups.start - 1]) if groups.start else 0
-        for hi in ends[groups].tolist():
-            group = by_multiple[lo:hi].tolist()
-            tables = slice_tables(ev.n, ev.slices, group[0] * (Q // group[0]))
-            for q in group:
-                record(q, fold(tables, q))
-            lo = hi
-
-    spans = [range(lo, min(lo + 128, ends.size)) for lo in range(0, ends.size, 128)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
-            list(pool.map(run_groups, spans))
-    else:
-        for span in spans:
-            run_groups(span)
+    lo = 0
+    for hi in ends.tolist():
+        group = by_multiple[lo:hi].tolist()
+        tables = slice_tables(ev.n, ev.slices, group[0] * (Q // group[0]))
+        for q in group:
+            t = fold(tables, q)
+            member, coprime = residue_masks(field, q)
+            counts[q] = count = np.count_nonzero(member)
+            dev = t[member] - x / count
+            contributions[q] = dev @ dev
+            outside[q] = t[coprime & ~member].sum()
+        lo = hi
 
     total = math.fsum(contributions.tolist())
     outside_mass = math.fsum(outside.tolist())

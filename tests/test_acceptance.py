@@ -6,9 +6,14 @@ in any run).  Field set: Q, quad:-1, quad:5, cyclo:5, except where a
 criterion names its own.
 """
 
+import io
 import math
+import os
+import subprocess
 import sys
+from contextlib import redirect_stdout
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +37,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @lru_cache(maxsize=None)
 def _envelope_report(label: str, x: int, Q: int) -> nv.VarianceReport:
-    return nv.variance(nv.parse_field(label), x, Q, threads=4)
+    return nv.variance(nv.parse_field(label), x, Q)
 
 
 def test_criterion_01_orthogonality_identity():
@@ -157,18 +162,25 @@ def test_criterion_09_heuristic_envelope_identity():
     assert ok
 
 
-def test_criterion_10_reports_are_byte_identical_across_thread_counts(tmp_path):
+def test_criterion_10_reports_are_byte_identical_across_processes(tmp_path):
+    argv = ["variance", "--field", "quad:-1", "--x", "10000", "--Q", "250"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     blobs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}.json"
-        code = main([
-            "variance", "--field", "quad:-1", "--x", "10000", "--Q", "250",
-            "--threads", threads, "--out", str(out),
-        ])
-        assert code == 0
+    # two fresh processes rebuild the events, slices and masks from cold caches
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        cmd = [sys.executable, "-m", "normvar.cli", *argv, "--out", str(out)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())
-    ok = blobs[0] == blobs[1]
-    _report(10, ok, f"variance report bytes identical for --threads 1 vs 4 "
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert main(argv) == 0
+    blobs.append(stdout.getvalue().encode("ascii"))
+    ok = blobs[0] == blobs[1] == blobs[2]
+    _report(10, ok, f"variance report bytes identical across two processes and stdout "
                     f"({len(blobs[0])} bytes)")
     assert ok
 

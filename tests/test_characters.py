@@ -6,6 +6,7 @@ import pytest
 
 import normvar as nv
 from normvar.arith import divisors, euler_phi, moebius
+from normvar.characters import unit_mask
 
 
 def test_unit_group_structure():
@@ -17,6 +18,11 @@ def test_unit_group_structure():
     assert nv.unit_group(16).orders == (2, 4)
     assert nv.unit_group(12).generators == (7, 5)
     assert nv.unit_group(12).orders == (2, 2)
+
+
+def test_unit_mask_matches_gcd():
+    for q in list(range(1, 80)) + [210, 360, 1024, 30030]:
+        assert unit_mask(q).tolist() == [math.gcd(a, q) == 1 for a in range(q)], q
 
 
 def test_unit_group_generators_generate():

@@ -1,6 +1,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 import normvar as nv
@@ -155,26 +156,21 @@ def test_variance_csv_format(capsys):
     assert lines[1].startswith("1,1,")
 
 
-def test_variance_reruns_and_threads_are_byte_identical(tmp_path, capsys):
-    paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
-    for path, threads in zip(paths, ("1", "1", "4")):
-        code, _, _ = run(
-            capsys,
-            "variance",
-            "--field",
-            "cyclo:5",
-            "--x",
-            "2000",
-            "--Q",
-            "40",
-            "--threads",
-            threads,
-            "--out",
-            str(path),
-        )
+def test_variance_reruns_are_byte_identical(tmp_path, capsys):
+    paths = [tmp_path / name for name in ("a.json", "b.json")]
+    for path in paths:
+        argv = ["variance", "--field", "cyclo:5", "--x", "2000", "--Q", "40", "--out", str(path)]
+        code, _, _ = run(capsys, *argv)
         assert code == 0
     blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
+
+
+def test_variance_takes_no_thread_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["variance", "--field", "Q", "--x", "100", "--Q", "5", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_variance_rejects_bad_window(capsys):
@@ -245,6 +241,22 @@ def test_checks_all_pass(capsys):
         not chi.primitive for q in range(2, 31) for chi in nv.enumerate_characters(q)
     )
     assert details["char-exchange"].endswith(f"over {imprimitive} characters")
+
+
+def test_check_details_name_their_worst_case(field):
+    x = 5000
+    gaps = [nv.orthogonality_check(field, x, q).gap for q in cli.ORTHOGONALITY_MODULI]
+    argmax_q = cli.ORTHOGONALITY_MODULI[int(np.argmax(gaps))]
+    assert f" at q={argmax_q} over 32 moduli" in cli.orthogonality(field, x).detail
+    diffs = [
+        nv.primitive_exchange_diff(field, x, chi)
+        for q in cli.EXCHANGE_MODULI
+        for chi in nv.enumerate_characters(q)
+        if not chi.primitive
+    ]
+    worst = diffs[int(np.argmax([d.gap for d in diffs]))]
+    at = f" at q={worst.q}, conductor {worst.conductor}, over {len(diffs)} characters"
+    assert cli.char_exchange(field, x).detail.endswith(at)
 
 
 def test_checks_outside_mass_is_capped_at_x(capsys):

@@ -104,7 +104,7 @@ def test_buckets_unchanged_by_a_variance_run(field):
     x = 5000
     before = {q: nv.residue_buckets(field, x, q) for q in (1, 7, 12, 30)}
     copies = {q: t.copy() for q, t in before.items()}
-    nv.variance(field, x, 40, threads=2)
+    nv.variance(field, x, 40)
     for q, t in before.items():
         assert not t.flags.writeable
         assert nv.residue_buckets(field, x, q) is t
@@ -178,12 +178,6 @@ def test_variance_validates_inputs(field):
         nv.variance(field, 1, 1)
 
 
-def test_variance_thread_count_does_not_change_anything(field):
-    a = nv.variance(field, 3000, 600, threads=1)
-    b = nv.variance(field, 3000, 600, threads=4)
-    assert a == b
-
-
 @lru_cache(maxsize=None)
 def _reference_rows(label: str, x: int, Q: int):
     """Per-q rows and outside mass from per-class `math.fsum` and gcd masks, q = 1..Q."""
@@ -203,11 +197,10 @@ def _reference_rows(label: str, x: int, Q: int):
     return tuple(rows), math.fsum(outside)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("label", ["Q", "quad:-1", "quad:5", "cyclo:12"])
-def test_variance_rows_are_bit_identical_to_reference_loop(label, threads):
+def test_variance_rows_are_bit_identical_to_reference_loop(label):
     x, Q = 10**5, 1500
-    report = nv.variance(nv.parse_field(label), x, Q, threads=threads)
+    report = nv.variance(nv.parse_field(label), x, Q)
     rows, outside = _reference_rows(label, x, Q)
     assert report.per_q == rows
     assert report.outside_mass == outside
