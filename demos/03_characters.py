@@ -38,3 +38,13 @@ chi7 = character(7, (1,))
 print("\ncharacter mod 7, exponent 1: phase as fraction of a turn")
 for a in range(1, 8):
     print(f"  a={a}: {chi7.rotation(a)}")
+
+# (Z/32)^* is not cyclic: it is <-1> x <5>, factors of orders 2 and 8.  A
+# character of order r > 1 on <5> needs 2^(2 + v_2(r)) in its conductor,
+# on <-1> it needs 4, and on an odd p^a factor p^(1 + v_p(r)); the
+# conductor is the lcm of what the factors need.
+group32 = unit_group(32)
+print("\nunit group mod 32")
+for gen, order in zip(group32.generators, group32.orders):
+    print(f"  factor generated by {gen}, order {order}")
+print("  conductors:", sorted({chi.conductor for chi in enumerate_characters(32)}))

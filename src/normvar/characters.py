@@ -1,10 +1,11 @@
 """The unit group (Z/qZ)^* and its Dirichlet characters.
 
-The group is decomposed into cyclic components by CRT: one cyclic factor
-per odd prime power in q, and for the 2-part either nothing (2), one
-factor of order 2 generated by 3 (4), or the pair <-1> x <5> (2^a, a >= 3).
-A character is stored as its tuple of exponents against the component
-generators, so its value at n is the exact rational rotation
+By CRT the group is a product of cyclic factors, listed prime power by
+prime power: an odd p^a gives one factor <g> of order phi(p^a), g a
+primitive root, and 2^a gives <-1> of order 2 and <5> of order 2^(a-2),
+of which 2 keeps neither and 4 keeps <-1> alone.  A character is stored
+as its tuple of exponents against the factor generators, so its value
+at n is the exact rational rotation
 
     sum_i exponents[i] * dlog_i(n) / order_i  (mod 1),
 
@@ -12,9 +13,12 @@ kept as a Fraction until complex values are actually needed.  Numeric
 values have one route, `phase_matrix`: the integer numerators of those
 rotations for every character modulo q at every residue.
 `character_matrix` maps it to complex values, a character's `value_table`
-is its row there, and `galois` reads the annihilator off it.  Conductors
-come from a per-component closed form, and the primitive part is solved
-for by evaluating rotations at lifts of the smaller group's generators.
+is its row there, and `galois` reads the annihilator off it.  The
+conductor follows one rule: a factor of (Z/p^a)^* on which the character
+has order r > 1 asks for p^(base + v_p(r)), where base is 2 for <5> and
+1 for every other factor, and the conductor is the lcm of these prime
+powers.  The primitive part is solved for by evaluating rotations at
+lifts of the smaller group's generators.
 """
 
 from __future__ import annotations
@@ -23,26 +27,22 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
 
 from .arith import euler_phi, factorize, primitive_root, valuation
 
-_ODD = "odd"
-_FOUR = "four"
-_SIGN = "sign"  # <-1> factor of (Z/2^a)^*, a >= 3
-_POW = "pow"  # <5> factor of (Z/2^a)^*, a >= 3
-
 
 @dataclass(frozen=True)
 class _Component:
-    kind: str
+    """One cyclic factor of (Z/p^a)^*, inside (Z/qZ)^*."""
+
     prime: int
-    prime_power: int
     generator: int  # lifted modulo q: = local generator mod p^a, = 1 elsewhere
     order: int
+    base: int  # 2 for <5> in (Z/2^a)^*, 1 otherwise: see `_ask`
 
 
 def unit_mask(q: int) -> np.ndarray:
@@ -55,6 +55,39 @@ def unit_mask(q: int) -> np.ndarray:
     for p in factorize(q):
         mask[::p] = False
     return mask
+
+
+def _geometric(g: int, n: int, pp: int) -> list[int]:
+    """[1, g, ..., g^(n - 1)] modulo pp."""
+    out = [1]
+    for _ in range(n - 1):
+        out.append(out[-1] * g % pp)
+    return out
+
+
+def _powers(g: int, order: int, pp: int) -> np.ndarray:
+    """g^0, ..., g^(order - 1) modulo pp: giant steps g^(i*s) times baby steps g^j, s^2 >= order."""
+    s = math.isqrt(order - 1) + 1
+    # int64 products below pp^2: exact for pp < 3e9, far above any q whose residues fit in memory
+    table = np.multiply.outer(_geometric(pow(g, s, pp), -(-order // s), pp), _geometric(g, s, pp))
+    return (table % pp).ravel()[:order]
+
+
+def _dlog_columns(
+    local: list[tuple[int, int, int]], pp: int, res: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Discrete logs of res modulo pp against the (generator, order, base) factors in `local`.
+
+    One column per factor, 0 at non-units.  The unit g_1^e_1 * g_2^e_2 * ...
+    sits at index (e_1, e_2, ...) of the outer product of the factors' powers.
+    """
+    if not local:  # (Z/2)^* is trivial
+        return ()
+    powers = (_powers(g, order, pp) for g, order, _ in local)
+    elems = reduce(lambda u, v: np.multiply.outer(u, v) % pp, powers)
+    flat = np.zeros(pp, dtype=np.int64)
+    flat[elems.ravel()] = np.arange(elems.size)
+    return np.unravel_index(flat[res % pp], elems.shape)
 
 
 class UnitGroup:
@@ -73,24 +106,14 @@ class UnitGroup:
         for p, a in factorize(q).items():
             pp = p**a
             if p == 2:
-                if a == 1:
-                    continue
-                if a == 2:
-                    comps.append(_Component(_FOUR, 2, 4, self._lift(3, pp), 2))
-                    cols.append(self._dlog_cyclic(3, 2, pp, res))
-                    continue
-                sign_col, pow_col = self._dlog_two_part(pp, res)
-                comps.append(_Component(_SIGN, 2, pp, self._lift(pp - 1, pp), 2))
-                # order of 5 modulo 2^a is 2^(a-2)
-                comps.append(_Component(_POW, 2, pp, self._lift(5, pp), pp // 4))
-                cols.append(sign_col)
-                cols.append(pow_col)
+                # (generator, order, base) modulo 2^a
+                local = [(pp - 1, 2, 1), (5, pp // 4, 2)][: a - 1]
             else:
-                g = primitive_root(pp)
-                comps.append(_Component(_ODD, p, pp, self._lift(g, pp), euler_phi(pp)))
-                cols.append(self._dlog_cyclic(g, euler_phi(pp), pp, res))
+                local = [(primitive_root(pp), euler_phi(pp), 1)]
+            comps.extend(_Component(p, self._lift(g, pp), order, base) for g, order, base in local)
+            cols.extend(_dlog_columns(local, pp, res))
         self.components = tuple(comps)
-        self.exponent = math.lcm(*(c.order for c in comps)) if comps else 1
+        self.exponent = math.lcm(*(c.order for c in comps))
         dlog = np.stack(cols, axis=1) if cols else np.zeros((q, 0), dtype=np.int64)
         dlog.setflags(write=False)
         self.dlog = dlog
@@ -100,28 +123,6 @@ class UnitGroup:
         other = self.q // pp
         t = (g - 1) * pow(other, -1, pp) % pp
         return (1 + other * t) % self.q
-
-    @staticmethod
-    def _dlog_cyclic(g: int, order: int, pp: int, res: np.ndarray) -> np.ndarray:
-        local = np.zeros(pp, dtype=np.int64)
-        v = 1
-        for t in range(order):
-            local[v] = t
-            v = v * g % pp
-        return local[res % pp]
-
-    @staticmethod
-    def _dlog_two_part(pp: int, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sign_local = np.zeros(pp, dtype=np.int64)
-        pow_local = np.zeros(pp, dtype=np.int64)
-        v = 1
-        for t in range(pp // 4):
-            sign_local[v] = 0
-            pow_local[v] = t
-            sign_local[pp - v] = 1
-            pow_local[pp - v] = t
-            v = v * 5 % pp
-        return sign_local[res % pp], pow_local[res % pp]
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -191,33 +192,18 @@ def _roots_of_unity(big: int) -> np.ndarray:
     return w
 
 
+def _ask(c: _Component, e: int) -> int:
+    """The prime power that exponent e on the cyclic factor c asks of the conductor.
+
+    A character of order r > 1 on c asks for p^(base + v_p(r)), order 1 for 1.
+    """
+    r = c.order // math.gcd(c.order, e)
+    return c.prime ** (c.base + valuation(r, c.prime)) if r > 1 else 1
+
+
 def _conductor(group: UnitGroup, exponents: tuple[int, ...]) -> int:
-    """Smallest modulus inducing the character with these exponents."""
-    cond = 1
-    comps = group.components
-    i = 0
-    while i < len(comps):
-        c = comps[i]
-        if c.kind == _ODD:
-            e = exponents[i] % c.order
-            r = c.order // math.gcd(c.order, e)
-            if r > 1:
-                cond *= c.prime ** (1 + valuation(r, c.prime))
-            i += 1
-        elif c.kind == _FOUR:
-            if exponents[i] % 2:
-                cond *= 4
-            i += 1
-        else:  # sign and pow components of one 2-power, adjacent
-            e0 = exponents[i] % 2
-            c1 = comps[i + 1]
-            e1 = exponents[i + 1] % c1.order
-            if e1 == 0:
-                cond *= 4 if e0 else 1
-            else:
-                cond *= 4 * (c1.order // math.gcd(c1.order, e1))
-            i += 2
-    return cond
+    """Smallest modulus inducing the character: the lcm of what its factors ask."""
+    return math.lcm(*map(_ask, group.components, exponents))
 
 
 def character(q: int, exponents: tuple[int, ...]) -> DirichletCharacter:
@@ -236,9 +222,12 @@ def character(q: int, exponents: tuple[int, ...]) -> DirichletCharacter:
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters modulo q; index 0 is the trivial character."""
     group = unit_group(q)
+    exponents = itertools.product(*(range(c.order) for c in group.components))
+    # what each character's factors ask of its conductor, in the same order
+    asks = itertools.product(*([_ask(c, e) for e in range(c.order)] for c in group.components))
     out = []
-    for exps in itertools.product(*(range(c.order) for c in group.components)):
-        cond = _conductor(group, exps)
+    for exps, ask in zip(exponents, asks):
+        cond = math.lcm(*ask)
         out.append(DirichletCharacter(q, exps, cond, cond == q, group))
     return tuple(out)
 

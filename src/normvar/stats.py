@@ -332,8 +332,8 @@ def large_sieve_check(field: FieldSpec, x: int, Q: int) -> LargeSieveResult:
         prim = [i for i, c in enumerate(chars) if c.primitive]
         if not prim:
             continue
-        psi = character_matrix(q) @ residue_buckets(field, x, q)
-        square = math.fsum(psi[i].real ** 2 + psi[i].imag ** 2 for i in prim)
+        psi = (character_matrix(q) @ residue_buckets(field, x, q))[prim]
+        square = math.fsum((psi.real * psi.real + psi.imag * psi.imag).tolist())
         terms.append(q / euler_phi(q) * square)
     lhs = math.fsum(terms)
     rhs = (x + Q * Q) * second_moment
@@ -360,7 +360,6 @@ class ExchangeDiff:
     explicit: complex
     gap: float
     bound_ok: bool
-    already_primitive: bool
 
 
 def _prime_power_rows(n: np.ndarray, primes: list[int], x: int) -> np.ndarray:
@@ -380,9 +379,7 @@ def _prime_power_rows(n: np.ndarray, primes: list[int], x: int) -> np.ndarray:
 
 
 def primitive_exchange_diff(field: FieldSpec, x: int, chi: DirichletCharacter) -> ExchangeDiff:
-    """Dual-route evaluation of the imprimitivity correction for chi."""
-    if chi.primitive:
-        return ExchangeDiff(chi.q, chi.conductor, 0j, 0j, 0.0, True, True)
+    """Dual-route evaluation of the imprimitivity correction for chi; 0 if chi is primitive."""
     star = primitive_part(chi)
     direct = character_sum(field, x, chi) - character_sum(field, x, star)
     ev = norm_events(field, x)
@@ -400,5 +397,4 @@ def primitive_exchange_diff(field: FieldSpec, x: int, chi: DirichletCharacter) -
         explicit=explicit,
         gap=rel_gap(direct, explicit, max(event_moment_sums(field, x)[0], 1.0)),
         bound_ok=abs(direct) <= bound,
-        already_primitive=False,
     )

@@ -13,9 +13,12 @@ def test_unit_group_structure():
     assert nv.unit_group(1).orders == ()
     assert nv.unit_group(2).orders == ()
     assert nv.unit_group(4).orders == (2,)
+    assert nv.unit_group(4).generators == (3,)
     assert nv.unit_group(5).generators == (2,) and nv.unit_group(5).orders == (4,)
     assert nv.unit_group(8).orders == (2, 2)
     assert nv.unit_group(16).orders == (2, 4)
+    assert nv.unit_group(16).generators == (15, 5)
+    assert nv.unit_group(32).orders == (2, 8)
     assert nv.unit_group(12).generators == (7, 5)
     assert nv.unit_group(12).orders == (2, 2)
 
@@ -41,13 +44,14 @@ def test_unit_group_generators_generate():
 
 
 def test_exponents_roundtrip():
-    for q in (7, 12, 16, 45, 64):
+    for q in (7, 11, 12, 16, 45, 64, 1009, 2 * 3**5):
         g = nv.unit_group(q)
         for a in range(q):
             exps = g.exponents_of(a)
             if math.gcd(a, q) != 1:
                 assert exps is None
                 continue
+            assert all(0 <= e < o for e, o in zip(exps, g.orders)), (q, a)
             rebuilt = 1
             for gen, e in zip(g.generators, exps):
                 rebuilt = rebuilt * pow(gen, e, q) % q
@@ -118,7 +122,7 @@ def _brute_conductor(chi) -> int:
     return q
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 9, 12, 16, 24, 36, 40, 45])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 9, 12, 16, 24, 32, 36, 40, 45, 48, 64, 96, 120])
 def test_conductor_matches_brute_force(q):
     for chi in nv.enumerate_characters(q):
         assert chi.conductor == _brute_conductor(chi), (q, chi.exponents)

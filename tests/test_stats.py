@@ -322,12 +322,14 @@ def test_exchange_gap_detects_one_missing_event(field):
     assert nv.rel_gap(diff.direct, diff.explicit + LOG2, s1) > nv.REL_TOL
 
 
-def test_exchange_on_primitive_character_is_flagged_trivial(field):
-    chi = nv.enumerate_characters(5)[1]
-    assert chi.primitive
-    diff = nv.primitive_exchange_diff(field, 100, chi)
-    assert diff.already_primitive
-    assert diff.direct == 0j and diff.explicit == 0j and diff.gap == 0.0
+def test_exchange_on_primitive_character_is_zero(field):
+    # the general path: chi is its own primitive part, and no prime divides
+    # q but not the conductor
+    for chi in (nv.enumerate_characters(5)[1], nv.enumerate_characters(1)[0]):
+        assert chi.primitive
+        diff = nv.primitive_exchange_diff(field, 100, chi)
+        assert diff.direct == 0j and diff.explicit == 0j and diff.gap == 0.0
+        assert diff.bound_ok
 
 
 def test_rel_gap_floor():
