@@ -218,18 +218,29 @@ def character(q: int, exponents: tuple[int, ...]) -> DirichletCharacter:
     return DirichletCharacter(q, exps, cond, cond == q, group)
 
 
+def conductor_table(q: int) -> np.ndarray:
+    """Conductor of every character modulo q, in enumerate_characters(q) order; not cached.
+
+    The lcm of what each factor asks of the conductor, broadcast one
+    factor at a time with its exponent varying fastest: the order of
+    itertools.product.
+    """
+    table = np.ones(1, dtype=np.int64)
+    for c in unit_group(q).components:
+        asks = np.array([_ask(c, e) for e in range(c.order)], dtype=np.int64)
+        table = np.lcm.outer(table, asks).ravel()
+    return table
+
+
 @lru_cache(maxsize=512)
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters modulo q; index 0 is the trivial character."""
     group = unit_group(q)
     exponents = itertools.product(*(range(c.order) for c in group.components))
-    # what each character's factors ask of its conductor, in the same order
-    asks = itertools.product(*([_ask(c, e) for e in range(c.order)] for c in group.components))
-    out = []
-    for exps, ask in zip(exponents, asks):
-        cond = math.lcm(*ask)
-        out.append(DirichletCharacter(q, exps, cond, cond == q, group))
-    return tuple(out)
+    return tuple(
+        DirichletCharacter(q, exps, cond, cond == q, group)
+        for exps, cond in zip(exponents, conductor_table(q).tolist())
+    )
 
 
 def phase_matrix(q: int) -> np.ndarray:
@@ -250,7 +261,11 @@ def phase_matrix(q: int) -> np.ndarray:
     return phases
 
 
-@lru_cache(maxsize=128)
+# a few entries: the checks read the matrices of small moduli again and
+# again (every exchange character and its primitive part), while the large
+# sieve reads each q <= Q once, and a cache of its phi(q) x q matrices
+# would hold tens of MiB at Q = 300 that nothing reads again
+@lru_cache(maxsize=8)
 def character_matrix(q: int) -> np.ndarray:
     """Row i = values of enumerate_characters(q)[i] at 0..q-1; shape (phi(q), q)."""
     group = unit_group(q)

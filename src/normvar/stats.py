@@ -6,11 +6,14 @@ cached event table (`sieve.norm_events`) holds the weights as slices at
 fixed binary quanta (`sieve.weight_slices`), each slice's class sums are
 exact in any order (`slice_tables`), and `fold` adds the slices.
 Because exact sums do not depend on their grouping, the table modulo q
-folds out of the table modulo any multiple L of q bit for bit, so the
-variance loop makes one sequential pass over the events per L in
-(Q/2, Q], folds each q <= Q out of L = q * (Q // q), and sums the per-q
-rows in ascending q.  `class_weights` is the direct route for one q, and
-`residue_buckets` caches its read-only result for the checks below.  On
+folds out of the table modulo any multiple L of q bit for bit.  So the
+tables of every q <= Q come from few passes over the events
+(`_per_q_weights`): each q folds out of a pass whose modulus L is a
+common multiple of several targets q * (Q // q) in (Q/2, Q], with L
+within max(Q, #events // 16).  The variance loop and the large sieve
+both read them, and the variance report sums its per-q rows in
+ascending q.  `class_weights` is the direct route for one q, and
+`residue_buckets` caches its read-only result for the other checks.  On
 admissible classes the expected size is x / (number of admissible
 classes); the variance report sums the squared deviations over all
 q <= Q and compares against the classical envelope x * Q * log x and the
@@ -32,14 +35,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .arith import euler_phi, factorize
+from .arith import divisors, euler_phi, factorize
 from .characters import (
     DirichletCharacter,
     character_matrix,
-    enumerate_characters,
+    conductor_table,
     primitive_part,
 )
 from .fields import FieldSpec
@@ -227,25 +231,69 @@ def _dyadic_blocks(
     return tuple(blocks)
 
 
-def _grouped_by_multiple(Q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The q = 1..Q grouped by L = q * (Q // q), a multiple of q in (Q/2, Q].
+def _pass_plan(Q: int, budget: int) -> list[tuple[int, list[int]]]:
+    """Passes (L, moduli) that cover q = 1..Q, each q once, with q | L <= max(Q, budget).
 
-    Returns the q in ascending L, then ascending q, and the end of each
-    L's group in that order.
+    Every q folds out of a multiple in (Q/2, Q], q * (Q // q), so those
+    targets are what the passes must cover.  Greedily, the largest
+    uncovered target starts a pass L, and the other uncovered targets,
+    in descending order, join it whenever lcm(L, target) stays within
+    the budget B.  L only grows from the starting target t, so a target c
+    that can join has lcm(t, c) <= B, that is c = g * k with g = gcd(t, c)
+    and k <= B // t: only those candidates are scanned.  If
+    B < 2 * (Q // 2 + 1), no two targets share a multiple within it, and
+    each target is its own pass.
     """
-    q = np.arange(1, Q + 1)
-    multiples = q * (Q // q)
-    order = np.argsort(multiples, kind="stable")
-    ends = np.append(np.flatnonzero(np.diff(multiples[order])) + 1, Q)
-    return order + 1, ends
+    B = max(Q, budget)
+    lo = Q // 2
+    owner = list(range(Q + 1))  # the pass modulus L covering each target
+    if B >= 2 * (lo + 1):
+        covered = bytearray(Q + 1)
+        for t in range(Q, lo, -1):
+            if covered[t]:
+                continue
+            covered[t] = 1
+            candidates = {
+                g * k for g in divisors(t) for k in range(lo // g + 1, min(B // t, Q // g) + 1)
+            }
+            L, members = t, [t]
+            for c in sorted(candidates, reverse=True):
+                merged = math.lcm(L, c)
+                if not covered[c] and merged <= B:
+                    L = merged
+                    members.append(c)
+                    covered[c] = 1
+            for c in members:
+                owner[c] = L
+    passes: dict[int, list[int]] = {}
+    for q in range(1, Q + 1):
+        passes.setdefault(owner[q * (Q // q)], []).append(q)
+    return sorted(passes.items())
+
+
+def _per_q_weights(field: FieldSpec, x: int, Q: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(q, class weights t_q) for every q <= Q, from as few passes over the events as fit.
+
+    A pass costs one scatter of every event per slice, whatever its
+    modulus, so its tables must stay small next to that: the passes take
+    moduli up to #events // 16, where a table holds at most one entry per
+    16 events, and clearing it and folding each q out of it cost little
+    beside the scatter.
+    """
+    ev = norm_events(field, x)
+    for L, moduli in _pass_plan(Q, ev.n.size // 16):
+        tables = slice_tables(ev.n, ev.slices, L)
+        for q in moduli:
+            yield q, fold(tables, q)
 
 
 def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     """Variance of residue-class weights around x / (class count).
 
-    One sequential pass over the events per L in (Q/2, Q] folds out the
-    class weights of every q with L = q * (Q // q); the per-q rows are
-    then summed with `math.fsum` in ascending q.
+    The class weights of every q <= Q fold out of a few passes over the
+    events (`_per_q_weights`), each of whose moduli covers several
+    q * (Q // q) in (Q/2, Q]; the per-q rows are then summed with
+    `math.fsum` in ascending q.
 
     Args:
         field: base field descriptor.
@@ -264,24 +312,15 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     if not 0 <= M <= MAX_M:
         msg = f"M must satisfy 0 <= M <= {MAX_M}, where (log x)^(M+1) stays finite, got {M}"
         raise ValueError(msg)
-    ev = norm_events(field, x)
-
     counts = np.zeros(Q + 1, dtype=np.int64)
     contributions = np.zeros(Q + 1)
     outside = np.zeros(Q + 1)
-    by_multiple, ends = _grouped_by_multiple(Q)
-    lo = 0
-    for hi in ends.tolist():
-        group = by_multiple[lo:hi].tolist()
-        tables = slice_tables(ev.n, ev.slices, group[0] * (Q // group[0]))
-        for q in group:
-            t = fold(tables, q)
-            member, coprime = residue_masks(field, q)
-            counts[q] = count = np.count_nonzero(member)
-            dev = t[member] - x / count
-            contributions[q] = dev @ dev
-            outside[q] = t[coprime & ~member].sum()
-        lo = hi
+    for q, t in _per_q_weights(field, x, Q):
+        member, coprime = residue_masks(field, q)
+        counts[q] = count = np.count_nonzero(member)
+        dev = t[member] - x / count
+        contributions[q] = dev @ dev
+        outside[q] = t[coprime & ~member].sum()
 
     total = math.fsum(contributions.tolist())
     outside_mass = math.fsum(outside.tolist())
@@ -321,18 +360,20 @@ def large_sieve_check(field: FieldSpec, x: int, Q: int) -> LargeSieveResult:
     """Weighted primitive character sums against (x + Q^2) * second moment.
 
     lhs = sum over q <= Q of (q / phi(q)) * sum over primitive chi mod q
-    of |character_sum|^2; holds when lhs <= rhs * (1 + 1e-9).
+    of |character_sum|^2; holds when lhs <= rhs * (1 + 1e-9).  The class
+    weights come from the passes of `_per_q_weights`, the primitive rows
+    of `character_matrix(q)` from `conductor_table(q)`, and `math.fsum`
+    of the terms does not depend on their order.
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     _, second_moment = event_moment_sums(field, x)
     terms = []
-    for q in range(1, Q + 1):
-        chars = enumerate_characters(q)
-        prim = [i for i, c in enumerate(chars) if c.primitive]
-        if not prim:
+    for q, t in _per_q_weights(field, x, Q):
+        prim = conductor_table(q) == q
+        if not prim.any():
             continue
-        psi = (character_matrix(q) @ residue_buckets(field, x, q))[prim]
+        psi = (character_matrix(q) @ t)[prim]
         square = math.fsum((psi.real * psi.real + psi.imag * psi.imag).tolist())
         terms.append(q / euler_phi(q) * square)
     lhs = math.fsum(terms)

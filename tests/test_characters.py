@@ -6,7 +6,7 @@ import pytest
 
 import normvar as nv
 from normvar.arith import divisors, euler_phi, moebius
-from normvar.characters import unit_mask
+from normvar.characters import conductor_table, unit_mask
 
 
 def test_unit_group_structure():
@@ -146,6 +146,17 @@ def test_primitive_counts_by_moebius():
         count = sum(1 for c in nv.enumerate_characters(q) if c.primitive)
         expected = sum(moebius(q // d) * euler_phi(d) for d in divisors(q))
         assert count == expected, q
+
+
+def test_conductor_table_matches_enumerated_and_built_characters():
+    # the large sieve reads its primitive rows off conductor_table(q) == q
+    for q in range(1, 301):
+        chars = nv.enumerate_characters(q)
+        table = conductor_table(q)
+        assert table.shape == (len(chars),)
+        assert ((table == q).tolist()) == [c.primitive for c in chars], q
+        # `character` takes the lcm per character, not broadcast per factor
+        assert table.tolist() == [nv.character(q, c.exponents).conductor for c in chars], q
 
 
 def test_primitive_part_agrees_on_coprime_residues():

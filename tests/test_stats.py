@@ -6,6 +6,7 @@ import pytest
 
 import normvar as nv
 from normvar import stats
+from normvar.arith import euler_phi
 from normvar.fields import kernel_image
 from normvar.sieve import weight_slices
 from normvar.stats import class_weights
@@ -197,13 +198,58 @@ def _reference_rows(label: str, x: int, Q: int):
     return tuple(rows), math.fsum(outside)
 
 
-@pytest.mark.parametrize("label", ["Q", "quad:-1", "quad:5", "cyclo:12"])
-def test_variance_rows_are_bit_identical_to_reference_loop(label):
-    x, Q = 10**5, 1500
+ROW_LABELS = ("Q", "quad:-1", "quad:5", "cyclo:12")
+
+
+# at x = 1e5 and Q = 1500 every target in (Q/2, Q] is its own pass; at
+# x = 1e6 and Q = 100 passes merge (test_pass_plan_merges_where_events_allow)
+@pytest.mark.parametrize(
+    "label, x, Q",
+    [pytest.param(label, 10**5, 1500, id=label) for label in ROW_LABELS]
+    + [pytest.param(label, 10**6, 100, id=f"{label}-merged") for label in ROW_LABELS],
+)
+def test_variance_rows_are_bit_identical_to_reference_loop(label, x, Q):
     report = nv.variance(nv.parse_field(label), x, Q)
     rows, outside = _reference_rows(label, x, Q)
     assert report.per_q == rows
     assert report.outside_mass == outside
+
+
+def _grouped_by_multiple(Q):
+    """One pass per L in (Q/2, Q], holding every q with q * (Q // q) = L, ascending."""
+    groups = {}
+    for q in range(1, Q + 1):
+        groups.setdefault(q * (Q // q), []).append(q)
+    return sorted(groups.items())
+
+
+@pytest.mark.parametrize("Q", [1, 2, 3, 10, 97, 100, 300, 1000, 1500])
+def test_pass_plan_covers_every_modulus_once(Q):
+    for budget in (0, 1, 50, 600, 5000, 41570):
+        plan = stats._pass_plan(Q, budget)
+        assigned = sorted(q for _, moduli in plan for q in moduli)
+        assert assigned == list(range(1, Q + 1))
+        for L, moduli in plan:
+            assert L <= max(Q, budget)
+            assert all(L % q == 0 for q in moduli)
+            # each q folds out of the pass holding its multiple q * (Q // q)
+            assert all(q * (Q // q) in moduli for q in moduli)
+        if budget <= Q:
+            assert plan == _grouped_by_multiple(Q)
+        else:
+            assert len(plan) <= len(_grouped_by_multiple(Q))
+
+
+def test_pass_plan_merges_where_events_allow():
+    # Q, x = 1e7, Q = 1e3: 665,134 events, budget 41,570
+    assert len(stats._pass_plan(1000, 665_134 // 16)) == 249
+    # quad:-1, x = 1e6, Q = 1e4: 39,392 events, budget below Q
+    assert len(stats._pass_plan(10_000, 39_392 // 16)) == 5000
+    for label in ROW_LABELS:
+        budget = len(nv.norm_events(nv.parse_field(label), 10**6)) // 16
+        assert len(stats._pass_plan(100, budget)) < 50
+        budget = len(nv.norm_events(nv.parse_field(label), 10**5)) // 16
+        assert stats._pass_plan(1500, budget) == _grouped_by_multiple(1500)
 
 
 def test_dyadic_partition_sums_to_total(field):
@@ -265,6 +311,21 @@ def test_large_sieve_holds(field):
     res = nv.large_sieve_check(field, 2000, 60)
     assert res.holds
     assert 0.0 < res.lhs <= res.rhs
+
+
+@pytest.mark.parametrize("label", ["Q", "cyclo:12"])
+def test_large_sieve_lhs_equals_direct_loop(label):
+    # the folded tables of merged passes (84 for Q, 104 for cyclo:12)
+    # against one direct table per q
+    field, x, Q = nv.parse_field(label), 10**6, 300
+    terms = []
+    for q in range(1, Q + 1):
+        prim = [i for i, c in enumerate(nv.enumerate_characters(q)) if c.primitive]
+        if prim:
+            psi = (nv.character_matrix(q) @ nv.residue_buckets(field, x, q))[prim]
+            square = math.fsum((psi.real * psi.real + psi.imag * psi.imag).tolist())
+            terms.append(q / euler_phi(q) * square)
+    assert nv.large_sieve_check(field, x, Q).lhs == math.fsum(terms)
 
 
 def test_large_sieve_q1_term_is_first_moment_squared(field):
