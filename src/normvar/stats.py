@@ -10,9 +10,9 @@ folds out of the table modulo any multiple L of q bit for bit.  So the
 tables of every q <= Q come from few passes over the events
 (`_per_q_weights`): each q folds out of a pass whose modulus L is a
 common multiple of several targets q * (Q // q) in (Q/2, Q], with L
-within max(Q, #events // 16).  The variance loop and the large sieve
-both read them, and the variance report sums its per-q rows in
-ascending q.  `class_weights` is the direct route for one q, and
+within max(Q, min(#events // 16, 2^15)).  The variance loop and the
+large sieve both read them, and the variance report sums its per-q rows
+in ascending q.  `class_weights` is the direct route for one q, and
 `residue_buckets` caches its read-only result for the other checks.  On
 admissible classes the expected size is x / (number of admissible
 classes); the variance report sums the squared deviations over all
@@ -240,48 +240,56 @@ def _pass_plan(Q: int, budget: int) -> list[tuple[int, list[int]]]:
     in descending order, join it whenever lcm(L, target) stays within
     the budget B.  L only grows from the starting target t, so a target c
     that can join has lcm(t, c) <= B, that is c = g * k with g = gcd(t, c)
-    and k <= B // t: only those candidates are scanned.  If
-    B < 2 * (Q // 2 + 1), no two targets share a multiple within it, and
-    each target is its own pass.
+    and k <= B // t: only those candidates are scanned.  Each target t
+    with 2t > B is its own pass, and its divisors are not listed.
     """
     B = max(Q, budget)
     lo = Q // 2
     owner = list(range(Q + 1))  # the pass modulus L covering each target
-    if B >= 2 * (lo + 1):
-        covered = bytearray(Q + 1)
-        for t in range(Q, lo, -1):
-            if covered[t]:
-                continue
-            covered[t] = 1
-            candidates = {
-                g * k for g in divisors(t) for k in range(lo // g + 1, min(B // t, Q // g) + 1)
-            }
-            L, members = t, [t]
-            for c in sorted(candidates, reverse=True):
-                merged = math.lcm(L, c)
-                if not covered[c] and merged <= B:
-                    L = merged
-                    members.append(c)
-                    covered[c] = 1
-            for c in members:
-                owner[c] = L
+    covered = bytearray(Q + 1)
+    for t in range(Q, lo, -1):
+        if covered[t]:
+            continue
+        covered[t] = 1
+        # k >= 2 for every c other than t, so none fits when B < 2t
+        factors = divisors(t) if 2 * t <= B else ()
+        candidates = {g * k for g in factors for k in range(lo // g + 1, min(B // t, Q // g) + 1)}
+        L, members = t, [t]
+        for c in sorted(candidates, reverse=True):
+            merged = math.lcm(L, c)
+            if not covered[c] and merged <= B:
+                L = merged
+                members.append(c)
+                covered[c] = 1
+        for c in members:
+            owner[c] = L
     passes: dict[int, list[int]] = {}
     for q in range(1, Q + 1):
         passes.setdefault(owner[q * (Q // q)], []).append(q)
     return sorted(passes.items())
 
 
+def _pass_budget(events: int) -> int:
+    """Largest pass modulus, beside Q itself, over a table of `events` events.
+
+    A pass costs one scatter of every event per slice, whatever its
+    modulus, so its tables must stay small next to that.  A table of L
+    entries is cleared and added once per block of _BLOCK events
+    (`slice_tables`), and each q of the pass folds all L entries.  So L
+    stays within #events // 16, one entry per 16 events, and within
+    _BLOCK // 2, one entry per two events of a block, whatever the number
+    of events.
+    """
+    return min(events // 16, _BLOCK // 2)
+
+
 def _per_q_weights(field: FieldSpec, x: int, Q: int) -> Iterator[tuple[int, np.ndarray]]:
     """(q, class weights t_q) for every q <= Q, from as few passes over the events as fit.
 
-    A pass costs one scatter of every event per slice, whatever its
-    modulus, so its tables must stay small next to that: the passes take
-    moduli up to #events // 16, where a table holds at most one entry per
-    16 events, and clearing it and folding each q out of it cost little
-    beside the scatter.
+    The passes take moduli up to max(Q, `_pass_budget(#events)`).
     """
     ev = norm_events(field, x)
-    for L, moduli in _pass_plan(Q, ev.n.size // 16):
+    for L, moduli in _pass_plan(Q, _pass_budget(ev.n.size)):
         tables = slice_tables(ev.n, ev.slices, L)
         for q in moduli:
             yield q, fold(tables, q)

@@ -223,10 +223,33 @@ def _grouped_by_multiple(Q):
     return sorted(groups.items())
 
 
+def _greedy_by_scan(Q, budget):
+    """The greedy plan of `stats._pass_plan`, scanning every uncovered target for each pass."""
+    B, lo = max(Q, budget), Q // 2
+    uncovered = list(range(Q, lo, -1))
+    owner = {}
+    while uncovered:
+        L, *rest = uncovered
+        uncovered = []
+        members = [L]
+        for c in rest:
+            if math.lcm(L, c) <= B:
+                L = math.lcm(L, c)
+                members.append(c)
+            else:
+                uncovered.append(c)
+        owner.update(dict.fromkeys(members, L))
+    passes = {}
+    for q in range(1, Q + 1):
+        passes.setdefault(owner[q * (Q // q)], []).append(q)
+    return sorted(passes.items())
+
+
 @pytest.mark.parametrize("Q", [1, 2, 3, 10, 97, 100, 300, 1000, 1500])
 def test_pass_plan_covers_every_modulus_once(Q):
-    for budget in (0, 1, 50, 600, 5000, 41570):
+    for budget in (0, 1, 50, 600, 2000, 5000, 41570):
         plan = stats._pass_plan(Q, budget)
+        assert plan == _greedy_by_scan(Q, budget)
         assigned = sorted(q for _, moduli in plan for q in moduli)
         assert assigned == list(range(1, Q + 1))
         for L, moduli in plan:
@@ -240,15 +263,23 @@ def test_pass_plan_covers_every_modulus_once(Q):
             assert len(plan) <= len(_grouped_by_multiple(Q))
 
 
+def test_pass_budget_is_bounded_by_events_and_block():
+    assert stats._pass_budget(39_392) == 39_392 // 16
+    assert stats._pass_budget(16 * stats._BLOCK // 2) == stats._BLOCK // 2
+    # past 2^19 events the per-block table work, not the event count, binds
+    assert stats._pass_budget(665_134) == stats._BLOCK // 2
+    assert stats._pass_budget(5_762_859) == stats._BLOCK // 2
+
+
 def test_pass_plan_merges_where_events_allow():
-    # Q, x = 1e7, Q = 1e3: 665,134 events, budget 41,570
-    assert len(stats._pass_plan(1000, 665_134 // 16)) == 249
+    # Q, x = 1e7, Q = 1e3: 665,134 events, budget 32,768
+    assert len(stats._pass_plan(1000, stats._pass_budget(665_134))) == 252
     # quad:-1, x = 1e6, Q = 1e4: 39,392 events, budget below Q
-    assert len(stats._pass_plan(10_000, 39_392 // 16)) == 5000
+    assert len(stats._pass_plan(10_000, stats._pass_budget(39_392))) == 5000
     for label in ROW_LABELS:
-        budget = len(nv.norm_events(nv.parse_field(label), 10**6)) // 16
+        budget = stats._pass_budget(len(nv.norm_events(nv.parse_field(label), 10**6)))
         assert len(stats._pass_plan(100, budget)) < 50
-        budget = len(nv.norm_events(nv.parse_field(label), 10**5)) // 16
+        budget = stats._pass_budget(len(nv.norm_events(nv.parse_field(label), 10**5)))
         assert stats._pass_plan(1500, budget) == _grouped_by_multiple(1500)
 
 
