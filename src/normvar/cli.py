@@ -34,6 +34,7 @@ from .reporting import (
     events_csv,
     format_float,
     gq_csv,
+    json_text,
     per_q_csv,
     run_config,
     to_json_bytes,
@@ -82,9 +83,7 @@ VARIANCE_BLOCK_KEYS = {
 
 
 def _write(out: str | None, report) -> None:
-    """Write a report (ASCII text, bytes, or text blocks one at a time) to --out or stdout."""
-    if isinstance(report, bytes):
-        report = report.decode("ascii")
+    """Write a report (ASCII text, or text blocks one at a time) to --out or stdout."""
     blocks = [report] if isinstance(report, str) else report
     with open(out, "w", encoding="ascii", newline="") if out else nullcontext(sys.stdout) as stream:
         for block in blocks:
@@ -212,7 +211,7 @@ def cmd_variance(args) -> int:
     if args.format == "json":
         config = run_config(field, x=args.x, Q=args.Q, M=args.M, format=args.format)
         block = {VARIANCE_BLOCK_KEYS[c.name]: c.value for c in checks}
-        _write(args.out, to_json_bytes(variance_payload(report, config, block)))
+        _write(args.out, json_text(variance_payload(report, config, block)))
     else:
         _write(args.out, per_q_csv(report))
     V, ratio = format_float(report.total), format_float(report.ratio_bdh)
@@ -232,7 +231,7 @@ def cmd_checks(args) -> int:
     ]
     if args.format == "json":
         config = run_config(field, x=args.x, Q=args.Q, B=args.B, format=args.format)
-        _write(args.out, to_json_bytes(checks_payload(field, config, results)))
+        _write(args.out, json_text(checks_payload(field, config, results)))
     else:
         _write(args.out, checks_csv(results))
     return _finish(results)

@@ -9,6 +9,7 @@ version-sensitive.
 from __future__ import annotations
 
 import json
+from collections import abc
 from typing import Iterator
 
 from .fields import FieldSpec
@@ -50,6 +51,52 @@ def _emit(obj, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _pieces(obj, indent: int) -> Iterator[str]:
+    """The text of `_emit(obj, indent)` in pieces, where obj or its members may be lists given as iterators.
+
+    A dict yields a piece per member, and an iterator one per item, read
+    once; each plain member is formatted whole by `_emit`.
+    """
+    if isinstance(obj, dict):
+        members, brackets = ((f"{json.dumps(k)}: ", v) for k, v in obj.items()), "{}"
+    elif isinstance(obj, abc.Iterator):
+        members, brackets = (("", v) for v in obj), "[]"
+    else:
+        yield _emit(obj, indent)
+        return
+    pad = "  " * indent
+    sep = brackets[0] + "\n"
+    for prefix, value in members:
+        yield f"{sep}{pad}  {prefix}"
+        if isinstance(value, abc.Iterator):
+            yield from _pieces(value, indent + 1)
+        else:
+            yield _emit(value, indent + 1)
+        sep = ",\n"
+    yield brackets if sep != ",\n" else f"\n{pad}{brackets[1]}"
+
+
+#: characters of JSON text `json_text` yields at a time
+_JSON_BLOCK = 1 << 16
+
+
+def json_text(obj) -> Iterator[str]:
+    """The text that `to_json_bytes(obj)` encodes, in blocks of about 64 KiB.
+
+    obj may give its lists as iterators, so the rows of a report are
+    formatted as they are written and never held at once.
+    """
+    block, size = [], 0
+    for piece in _pieces(obj, 0):
+        block.append(piece)
+        size += len(piece)
+        if size >= _JSON_BLOCK:
+            yield "".join(block)
+            block, size = [], 0
+    block.append("\n")
+    yield "".join(block)
+
+
 def to_json_bytes(obj) -> bytes:
     return (_emit(obj, 0) + "\n").encode("ascii")
 
@@ -66,6 +113,7 @@ def run_config(field: FieldSpec, **kwargs) -> dict:
 
 
 def variance_payload(report: VarianceReport, config: dict, checks: dict) -> dict:
+    """The variance report; its `per_q` rows are a generator, to be written once by `json_text`."""
     return {
         "format_version": FORMAT_VERSION,
         "config": config,
@@ -78,10 +126,10 @@ def variance_payload(report: VarianceReport, config: dict, checks: dict) -> dict
         "ratio_grh": report.ratio_grh,
         "outside_mass": report.outside_mass,
         "range_condition_satisfied": report.range_condition_satisfied,
-        "per_q": [
+        "per_q": (
             {"q": r.q, "phi_K": r.admissible, "contribution": r.contribution}
             for r in report.per_q
-        ],
+        ),
         "dyadic": [
             {"U_lo": b.u_lo, "U_hi": b.u_hi, "contribution": b.contribution}
             for b in report.dyadic
@@ -101,11 +149,16 @@ def checks_payload(field: FieldSpec, config: dict, results) -> dict:
     }
 
 
-def per_q_csv(report: VarianceReport) -> str:
-    lines = ["q,phi_K,contribution"]
-    for r in report.per_q:
-        lines.append(f"{r.q},{r.admissible},{format_float(r.contribution)}")
-    return "\n".join(lines) + "\n"
+#: rows per block of the `variance` and `dump-events` CSVs
+_CSV_ROWS = 1 << 14
+
+
+def per_q_csv(report: VarianceReport) -> Iterator[str]:
+    """The variance CSV in blocks of 2^14 rows, header first."""
+    yield "q,phi_K,contribution\n"
+    rows = report.per_q
+    for lo in range(0, len(rows), _CSV_ROWS):
+        yield "".join(f"{r.q},{r.admissible},{format_float(r.contribution)}\n" for r in rows[lo : lo + _CSV_ROWS])
 
 
 def checks_csv(results) -> str:
@@ -113,10 +166,6 @@ def checks_csv(results) -> str:
     for r in results:
         lines.append(f"{r.name},{str(r.passed).lower()},{json.dumps(r.detail)}")
     return "\n".join(lines) + "\n"
-
-
-#: rows per block of the `dump-events` CSV
-_CSV_ROWS = 1 << 14
 
 
 def events_csv(columns: EventColumns) -> Iterator[str]:

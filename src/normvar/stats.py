@@ -11,13 +11,23 @@ tables of every q <= Q come from few passes over the events
 (`_per_q_weights`): each q folds out of a pass whose modulus L is a
 common multiple of several targets q * (Q // q) in (Q/2, Q], with L
 within max(Q, min(#events // 16, 2^15)).  The variance loop and the
-large sieve both read them, and the variance report sums its per-q rows
-in ascending q.  `class_weights` is the direct route for one q, and
-`residue_buckets` caches its read-only result for the other checks.  On
-admissible classes the expected size is x / (number of admissible
-classes); the variance report sums the squared deviations over all
-q <= Q and compares against the classical envelope x * Q * log x and the
-heuristic envelope x * Q * (log x)^4.
+large sieve both read them.  `class_weights` is the direct route for one
+q, and `residue_buckets` caches its read-only result for the other
+checks.
+
+The variance report needs only the sum of squares of t_q over the
+admissible classes, not t_q itself, and for q > sqrt(x) it takes that
+from the autocorrelation R(h) = sum of w_n * w_{n+h}: the squares of all
+classes mod q sum to R(0) + 2 * sum over j >= 1 of R(jq).  One blocked
+transform of the weights (`_autocorrelation_blocks`) gives every such q
+at once, holding a few MiB of spectra whatever x (`_correlation_rows`);
+the classes that are not admissible are taken off from the few events
+they can hold.  `_direct_bound` routes the q > isqrt(x) there when it
+costs less than their passes.  On admissible classes the expected size is
+x / (number of admissible classes); the variance report sums the squared
+deviations over all q <= Q in ascending q and compares against the
+classical envelope x * Q * log x and the heuristic envelope
+x * Q * (log x)^4.
 
 Identity checks pair two independent code paths over the same events:
 
@@ -33,6 +43,7 @@ Identity checks pair two independent code paths over the same events:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -46,9 +57,9 @@ from .characters import (
     conductor_table,
     primitive_part,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, kernel_image
 from .galois import norm_class_group, residue_masks
-from .sieve import event_moment_sums, norm_events
+from .sieve import NormEventTable, event_moment_sums, norm_events, primes_up_to
 
 #: relative agreement demanded of dual-route identities
 REL_TOL = 1e-9
@@ -295,13 +306,277 @@ def _per_q_weights(field: FieldSpec, x: int, Q: int) -> Iterator[tuple[int, np.n
             yield q, fold(tables, q)
 
 
+#: chunk length of the blocked autocorrelation: each chunk of the dense
+#: weights is transformed at 2 * _CHUNK points
+_CHUNK = 1 << 13
+#: lags of the autocorrelation summed at a time, in chunks (`_lag_spectra`)
+_BAND = 16
+#: lags of R that `_lag_sums` adds into the sums at a time
+_SPAN = 1 << 16
+
+
+def _chunking(x: int) -> tuple[int, int]:
+    """(L, chunks): the chunk length and the number of chunks of length L that cover 0..x."""
+    L = min(_CHUNK, 1 << x.bit_length())
+    return L, x // L + 1
+
+
+def _direct_bound(x: int, Q: int, events: int, slices: int) -> int:
+    """Largest q that the direct passes serve; every q above it, up to Q, takes the correlation route.
+
+    The routing rule: the moduli q > K = isqrt(x) take the correlation
+    route (`_correlation_rows`) when it costs less than the direct work it
+    replaces, else every q <= Q stays on the direct passes.  Below sqrt(x),
+    t_q is large next to its deviation, and the route's squares cancel too
+    much.  Costs are counted in transform steps, points times log2 of the
+    transform length (1.0 ns each at 2^14 points on the 2-vCPU machine
+    where the weights below were measured):
+      * the route: about chunks^2 / _BAND + 2 * chunks transforms of 2L
+        points (`_lag_spectra`), and as much again for their products and
+        sums, whatever Q;
+      * the direct passes it replaces: those of the targets in (Q/2, Q]
+        beyond those in (K/2, K], each a scatter of every event per slice
+        at 5 steps (4.7-6.0 ns measured), and per q in (K, Q] its masks,
+        fold and deviations at 30,000 steps plus 6 per slice-table entry
+        it folds (33 us at Q = 250, 158 us at Q = 10^4).
+    The route's fixed work, a few milliseconds for the primes p <= Q and
+    the pairs of prime powers, is left out: it matters only where both
+    routes take milliseconds.
+    """
+    K = math.isqrt(x)
+    if Q <= K:
+        return Q
+    L, chunks = _chunking(x)
+    transforms, points = chunks * chunks // _BAND + 2 * chunks, 2 * L
+    correlation = 2 * transforms * points * (points.bit_length() - 1)
+    passes = (Q - Q // 2) - (K - K // 2)
+    direct = 5 * passes * events * slices + (Q - K) * (30_000 + 6 * slices * Q)
+    return K if correlation < direct else Q
+
+
+def _lag_spectra(spectrum, chunks: int) -> Iterator[np.ndarray]:
+    """P_k = sum over c of conj(F_c) * F_{c+k}, for k = 0..chunks-1, with F_c = spectrum(c).
+
+    Holding every F_c would take 16 bytes per n <= x.  A band of lags
+    [k0, k0 + _BAND) needs only F_c and the window F_{c+k0}, ...,
+    F_{c+k0+_BAND-1}, which slides by one spectrum per c: about
+    chunks^2 / _BAND + chunks transforms, and 2 * _BAND + 2 spectra held.
+    """
+    for k0 in range(0, chunks, _BAND):
+        width = min(_BAND, chunks - k0)
+        window = deque(spectrum(c) for c in range(k0, k0 + width))
+        sums = [np.zeros_like(window[0]) for _ in range(width)]
+        conj, product = np.empty_like(window[0]), np.empty_like(window[0])
+        for c in range(chunks - k0):
+            np.conj(window[0] if k0 == 0 else spectrum(c), out=conj)
+            for total, F in zip(sums, window):
+                total += np.multiply(conj, F, out=product)
+            window.popleft()
+            if c + k0 + width < chunks:
+                window.append(spectrum(c + k0 + width))
+        while sums:  # released as they go, before the next band is built
+            yield sums.pop(0)
+
+
+def _autocorrelation_blocks(ev: NormEventTable, x: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(h0, R[h0 : h0 + L]) for h0 = 0, L, 2L, ..., with R(h) = sum over n of w_n * w_{n+h}.
+
+    The weights are cut into dense chunks of length L (n is unique, so
+    chunk[n - cL] = w_n), each transformed at 2L points (F_c).  The lags in
+    [kL, (k+1)L) pair chunk c with the window of chunks c+k and c+k+1,
+    whose spectrum at 2L points is F_{c+k} + (-1)^f F_{c+k+1}; so that block
+    of R is the inverse transform of P_k + (-1)^f P_{k+1} (`_lag_spectra`).
+    Neither R nor the dense weights are ever held at full length.
+    """
+    L, chunks = _chunking(x)
+    edges = np.searchsorted(ev.n, (np.arange(chunks + 1) * L).astype(ev.n.dtype))
+
+    chunk = np.zeros(2 * L)
+
+    def spectrum(c: int) -> np.ndarray:
+        lo, hi = edges[c], edges[c + 1]
+        chunk[:L] = 0.0
+        chunk[ev.n[lo:hi] - c * L] = ev.weights(slice(lo, hi))
+        return np.fft.rfft(chunk)
+
+    spectra = _lag_spectra(spectrum, chunks)
+    current = next(spectra)
+    for k in range(chunks):
+        following = next(spectra, None)
+        if following is not None:  # add (-1)^f P_{k+1}
+            current[::2] += following[::2]
+            current[1::2] -= following[1::2]
+        yield k * L, np.fft.irfft(current)[:L]
+        current = following
+
+
+def _lag_sums(ev: NormEventTable, x: int, K: int, Q: int) -> np.ndarray:
+    """S[q - K - 1] = sum over j >= 1 of R(jq), for K < q <= Q, K >= isqrt(x).
+
+    The blocks of R are gathered into spans of _SPAN lags, and each span is
+    added as it fills: for each j, the q with jq in the span form one
+    range, read with stride j.  About x^2 / (K * _SPAN) ranges in all.
+    """
+    S = np.zeros(Q - K)
+    span = np.empty(max(_SPAN, _chunking(x)[0]))
+
+    def add(h0: int, r: np.ndarray) -> None:
+        top = min(h0 + r.size, x) - 1  # no two norms <= x lie x or more apart
+        for j in range(max(1, -(-h0 // Q)), top // (K + 1) + 1):
+            lo, hi = max(K + 1, -(-h0 // j)), min(Q, top // j)
+            if lo <= hi:
+                S[lo - K - 1 : hi - K] += r[j * lo - h0 : j * hi - h0 + 1 : j]
+
+    start = filled = 0
+    for h0, block in _autocorrelation_blocks(ev, x):
+        if filled + block.size > span.size:
+            add(start, span[:filled])
+            start, filled = h0, 0
+        span[filled : filled + block.size] = block
+        filled += block.size
+    add(start, span[:filled])
+    return S
+
+
+def _divisors_between(D: int, K: int, Q: int) -> np.ndarray:
+    """The divisors q of D with K < q <= Q, for D <= (K + 1)^2: q = D / s with s < K + 1."""
+    s = np.arange(1, D // (K + 1) + 1)
+    q = D // s[D % s == 0]
+    return q[q <= Q]
+
+
+def _prime_power_rows(n: np.ndarray, primes: list[int], x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index into `primes`, row into the sorted, distinct norms n) of each power p^k <= x in n, ascending in (p, k)."""
+    tags, powers = [], []
+    for i, p in enumerate(primes):
+        power = p
+        while power <= x:
+            tags.append(i)
+            powers.append(power)
+            power *= p
+    tag = np.array(tags, dtype=np.intp)
+    # in n's dtype, so searchsorted does not convert n
+    power = np.array(powers, dtype=n.dtype)
+    rows = np.searchsorted(n, power)
+    found = rows < n.size
+    found[found] = n[rows[found]] == power[found]
+    return tag[found], rows[found]
+
+
+def _prime_power_classes(ev: NormEventTable, x: int, K: int, Q: int):
+    """phi(q), and the mass and squared class mass of the classes that are no units mod q, for K < q <= Q.
+
+    Those classes hold only the powers p^k of the primes p | q, so the
+    masses and squares of each p's powers are added to every multiple of p
+    at once, with the factor 1 - 1/p of phi(q): a slice per prime up to
+    sqrt(Q), and for the larger primes, which have fewer multiples, one
+    gather per multiplier j.  Two powers of p share a class mod q exactly
+    when q divides their difference, so their cross terms go to its
+    divisors in (K, Q] that p divides.
+    """
+    phi = np.arange(K + 1, Q + 1)
+    mass, squares = np.zeros(Q - K), np.zeros(Q - K)
+    primes = primes_up_to(Q)
+    tag, rows = _prime_power_rows(ev.n, primes.tolist(), x)
+    w = ev.weights(rows)
+    p_mass = np.bincount(tag, weights=w, minlength=primes.size)
+    p_squares = np.bincount(tag, weights=w * w, minlength=primes.size)
+
+    def strike(at, p, m, s) -> None:
+        phi[at] -= phi[at] // p
+        mass[at] += m
+        squares[at] += s
+
+    root = math.isqrt(Q)
+    small = int(np.searchsorted(primes, root, side="right"))
+    for i, p in enumerate(primes[:small].tolist()):
+        strike(slice((K // p + 1) * p - K - 1, None, p), p, p_mass[i], p_squares[i])
+    for j in range(1, Q // (root + 1) + 1):
+        lo = max(small, int(np.searchsorted(primes, K // j, side="right")))
+        hi = int(np.searchsorted(primes, Q // j, side="right"))
+        p = primes[lo:hi]
+        strike(j * p - K - 1, p, p_mass[lo:hi], p_squares[lo:hi])
+
+    n, w = ev.n[rows].astype(np.int64).tolist(), w.tolist()
+    counts = np.bincount(tag, minlength=primes.size)
+    ends = np.cumsum(counts)
+    for i in np.flatnonzero(counts >= 2).tolist():
+        p, block = int(primes[i]), range(ends[i] - counts[i], ends[i])
+        for a in block:
+            for b in range(a + 1, block.stop):
+                q = _divisors_between(n[b] - n[a], K, Q)
+                squares[q[q % p == 0] - K - 1] += 2 * w[a] * w[b]
+    return phi, mass, squares
+
+
+def _outside_classes(field: FieldSpec, ev: NormEventTable, K: int, Q: int, g: np.ndarray):
+    """Mass and squared class mass of the unit classes mod q outside the admissible ones, for K < q <= Q.
+
+    Such a class a has a mod g outside the image of H mod g, g = gcd(m, q)
+    (given per q), so it holds only events with n mod m outside H: that
+    small set is measured, never assumed empty.  Two of its events share a
+    class mod q exactly when q divides their difference.
+    """
+    m = field.conductor
+    qs = np.arange(K + 1, Q + 1)
+    mass, squares = np.zeros(Q - K), np.zeros(Q - K)
+    divs = divisors(m)
+    stray = []  # (n, w, the g | m where n mod g is a unit outside the image)
+    odd = np.flatnonzero(~kernel_image(field, m)[ev.n % m])
+    for n, w in zip(ev.n[odd].tolist(), ev.weights(odd).tolist()):
+        off = [d for d in divs if math.gcd(n, d) == 1 and not kernel_image(field, d)[n % d]]
+        if off:
+            stray.append((n, w, off))
+    for a, (n_a, w_a, off) in enumerate(stray):
+        hit = np.isin(g, off) & (np.gcd(qs, n_a) == 1)
+        mass[hit] += w_a
+        squares[hit] += w_a * w_a
+        for n_b, w_b, _ in stray[a + 1 :]:
+            q = _divisors_between(abs(n_b - n_a), K, Q)
+            squares[q[hit[q - K - 1]] - K - 1] += 2 * w_a * w_b
+    return mass, squares
+
+
+def _correlation_rows(field: FieldSpec, x: int, K: int, Q: int):
+    """(admissible counts, contributions, outside masses) of every q in (K, Q], K >= isqrt(x).
+
+    With S[q] = sum over j >= 1 of R(jq) (`_lag_sums`), the squares of
+    all classes mod q sum to R(0) + 2 S[q] = S2 + 2 S[q], and their masses
+    to S1.  Taking off the classes that are no units
+    (`_prime_power_classes`) and the units outside the admissible ones
+    (`_outside_classes`) leaves member_sum and member_sq, and the
+    contribution is member_sq - 2 * mean * member_sum + count * mean^2,
+    mean = x / count.  The admissible count is phi(q) / phi(g) *
+    #(image of H mod g), g = gcd(m, q): no mask per q.
+    """
+    ev = norm_events(field, x)
+    S1, S2 = ev.moments
+    m = field.conductor
+    g = np.gcd(np.arange(K + 1, Q + 1), m)
+    divs = divisors(m)
+    at = np.searchsorted(divs, g)
+    phi_g = np.array([euler_phi(d) for d in divs])[at]
+    image_g = np.array([np.count_nonzero(kernel_image(field, d)) for d in divs])[at]
+    phi, non_unit, non_unit_sq = _prime_power_classes(ev, x, K, Q)
+    outside, outside_sq = _outside_classes(field, ev, K, Q, g)
+    count = phi // phi_g * image_g
+    member_sum = S1 - non_unit - outside
+    member_sq = S2 + 2 * _lag_sums(ev, x, K, Q) - non_unit_sq - outside_sq
+    mean = x / count
+    return count, member_sq - 2 * mean * member_sum + count * mean * mean, outside
+
+
 def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     """Variance of residue-class weights around x / (class count).
 
-    The class weights of every q <= Q fold out of a few passes over the
-    events (`_per_q_weights`), each of whose moduli covers several
-    q * (Q // q) in (Q/2, Q]; the per-q rows are then summed with
-    `math.fsum` in ascending q.
+    The class weights of every q up to a bound D fold out of a few passes
+    over the events (`_per_q_weights`), each of whose moduli covers
+    several multiples q * (D // q) in (D/2, D].  D is Q, or isqrt(x) when
+    the moduli above it cost less on the correlation route
+    (`_direct_bound`), which takes them all at once from one blocked
+    autocorrelation of the weights (`_correlation_rows`); its rows are
+    not bit-identical to the direct ones, but within about 1e-11
+    relative.  The per-q rows are summed with `math.fsum` in ascending q.
 
     Args:
         field: base field descriptor.
@@ -320,15 +595,25 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     if not 0 <= M <= MAX_M:
         msg = f"M must satisfy 0 <= M <= {MAX_M}, where (log x)^(M+1) stays finite, got {M}"
         raise ValueError(msg)
+    ev = norm_events(field, x)
+    return _variance(field, x, Q, M, _direct_bound(x, Q, len(ev), len(ev.slices)))
+
+
+def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> VarianceReport:
+    """The variance report with q <= `direct` on the direct passes and the larger q on the correlation route."""
     counts = np.zeros(Q + 1, dtype=np.int64)
     contributions = np.zeros(Q + 1)
     outside = np.zeros(Q + 1)
-    for q, t in _per_q_weights(field, x, Q):
+    for q, t in _per_q_weights(field, x, direct):
         member, coprime = residue_masks(field, q)
         counts[q] = count = np.count_nonzero(member)
         dev = t[member] - x / count
         contributions[q] = dev @ dev
         outside[q] = t[coprime & ~member].sum()
+    if direct < Q:
+        counts[direct + 1 :], contributions[direct + 1 :], outside[direct + 1 :] = _correlation_rows(
+            field, x, direct, Q
+        )
 
     total = math.fsum(contributions.tolist())
     outside_mass = math.fsum(outside.tolist())
@@ -411,29 +696,13 @@ class ExchangeDiff:
     bound_ok: bool
 
 
-def _prime_power_rows(n: np.ndarray, primes: list[int], x: int) -> np.ndarray:
-    """Ascending indices into the sorted, distinct norms n of the powers c^k <= x of `primes`."""
-    powers = []
-    for c in primes:
-        power = c
-        while power <= x:
-            powers.append(power)
-            power *= c
-    # in n's dtype, so searchsorted does not convert n
-    powers = np.sort(np.array(powers, dtype=n.dtype))
-    rows = np.searchsorted(n, powers)
-    found = rows < n.size
-    rows, powers = rows[found], powers[found]
-    return rows[n[rows] == powers]
-
-
 def primitive_exchange_diff(field: FieldSpec, x: int, chi: DirichletCharacter) -> ExchangeDiff:
     """Dual-route evaluation of the imprimitivity correction for chi; 0 if chi is primitive."""
     star = primitive_part(chi)
     direct = character_sum(field, x, chi) - character_sum(field, x, star)
     ev = norm_events(field, x)
     culprits = [p for p in factorize(chi.q) if chi.conductor % p != 0]
-    rows = _prime_power_rows(ev.n, culprits, x)
+    rows = np.sort(_prime_power_rows(ev.n, culprits, x)[1])
     explicit = 0j
     if rows.size:
         vals = star.value_table()[ev.n[rows] % chi.conductor]

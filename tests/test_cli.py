@@ -156,6 +156,32 @@ def test_variance_csv_format(capsys):
     assert lines[1].startswith("1,1,")
 
 
+def test_json_text_streams_the_bytes_of_to_json_bytes(monkeypatch):
+    # small blocks, so the rows span many of them
+    monkeypatch.setattr(reporting, "_JSON_BLOCK", 100)
+    rows = [{"q": q, "phi_K": q - 1, "contribution": q / 7} for q in range(1, 60)]
+    obj = {"a": 1, "b": {}, "c": [], "rows": rows, "d": {"e": [True, None, "s"]}, "f": 0.1}
+    streamed = {**obj, "rows": iter(rows), "c": iter([])}
+    blocks = list(reporting.json_text(streamed))
+    assert len(blocks) > 10
+    assert "".join(blocks).encode("ascii") == reporting.to_json_bytes(obj)
+    # the layout is json's with indent=2; floats are written at 15 digits
+    exact = {**obj, "rows": [{**r, "contribution": r["q"]} for r in rows], "f": 1}
+    assert reporting.to_json_bytes(exact) == (json.dumps(exact, indent=2) + "\n").encode("ascii")
+
+
+def test_variance_csv_streams_rows_in_blocks(monkeypatch, capsys):
+    monkeypatch.setattr(reporting, "_CSV_ROWS", 7)
+    report = nv.variance(nv.rational_field(), 500, 20)
+    blocks = list(reporting.per_q_csv(report))
+    assert len(blocks) == 1 + 3
+    code, out, _ = run(capsys, "variance", "--field", "Q", "--x", "500", "--Q", "20", "--format", "csv")
+    assert code == 0 and out == "".join(blocks)
+    assert out.splitlines()[1:] == [
+        f"{r.q},{r.admissible},{reporting.format_float(r.contribution)}" for r in report.per_q
+    ]
+
+
 def test_variance_reruns_are_byte_identical(tmp_path, capsys):
     paths = [tmp_path / name for name in ("a.json", "b.json")]
     for path in paths:

@@ -209,10 +209,111 @@ ROW_LABELS = ("Q", "quad:-1", "quad:5", "cyclo:12")
     + [pytest.param(label, 10**6, 100, id=f"{label}-merged") for label in ROW_LABELS],
 )
 def test_variance_rows_are_bit_identical_to_reference_loop(label, x, Q):
-    report = nv.variance(nv.parse_field(label), x, Q)
+    # every q on the direct passes: at (1e5, 1500) `variance` routes q > 316
+    # to the correlation, which test_correlation_rows_match_direct_rows holds
+    report = stats._variance(nv.parse_field(label), x, Q, 1, Q)
     rows, outside = _reference_rows(label, x, Q)
     assert report.per_q == rows
     assert report.outside_mass == outside
+
+
+def _assert_routed_rows_match_direct(field, x, Q):
+    """`variance` routes every q > isqrt(x); its rows match the all-direct report."""
+    K = math.isqrt(x)
+    ev = nv.norm_events(field, x)
+    assert stats._direct_bound(x, Q, len(ev), len(ev.slices)) == K
+    routed = nv.variance(field, x, Q)
+    direct = stats._variance(field, x, Q, 1, Q)
+    # the direct passes still serve q <= K, bit for bit
+    assert routed.per_q[:K] == direct.per_q[:K]
+    for r, d in zip(routed.per_q[K:], direct.per_q[K:]):
+        assert (r.q, r.admissible) == (d.q, d.admissible)
+        assert nv.rel_gap(r.contribution, d.contribution) <= 1e-9, r.q
+    assert nv.rel_gap(routed.outside_mass, direct.outside_mass) <= 1e-9
+    assert nv.rel_gap(routed.total, direct.total) <= 1e-9
+    return routed, direct
+
+
+@pytest.mark.parametrize("x, Q", [(10**4, 10**4), (10**5, 3000)])
+@pytest.mark.parametrize("label", ROW_LABELS)
+def test_correlation_rows_match_direct_rows(label, x, Q):
+    _assert_routed_rows_match_direct(nv.parse_field(label), x, Q)
+
+
+@pytest.mark.parametrize("label", ROW_LABELS)
+def test_correlation_rows_match_direct_rows_across_small_chunks(label, monkeypatch):
+    # chunks of 64 lags in bands of 3 and spans of 200: lag blocks straddle
+    # chunks, bands and spans
+    monkeypatch.setattr(stats, "_CHUNK", 64)
+    monkeypatch.setattr(stats, "_BAND", 3)
+    monkeypatch.setattr(stats, "_SPAN", 200)
+    x = 10**4
+    assert stats._chunking(x) == (64, 157)
+    _assert_routed_rows_match_direct(nv.parse_field(label), x, 2000)
+
+
+def test_correlation_route_measures_outside_mass(monkeypatch):
+    # quad:-1 has no event n = 3 (mod 4); add two, 7 and 419, so that the
+    # classes 7 and 419 mod q are units outside the image for 4 | q, and
+    # share the class mod 412 = 419 - 7
+    field = nv.parse_field("quad:-1")
+    x = 10**4
+    ev = nv.norm_events(field, x)
+    n = np.concatenate([ev.n, np.array([7, 419], dtype=ev.n.dtype)])
+    w = np.concatenate([ev.weights(), [1.25, 0.75]])
+    order = np.argsort(n)
+    n, w = n[order], w[order]
+    table = nv.NormEventTable(n, weight_slices(w), (math.fsum(w), math.fsum(w * w)))
+    monkeypatch.setattr(stats, "norm_events", lambda f, bound: table)
+    routed, direct = _assert_routed_rows_match_direct(field, x, 1000)
+    assert routed.outside_mass > 0.0
+    ref = math.fsum(
+        math.fsum(w[(n % q == a)].tolist())
+        for q in range(4, 1001, 4)
+        for a in {7 % q, 419 % q}
+        if math.gcd(a, q) == 1
+    )
+    assert nv.rel_gap(routed.outside_mass, ref) <= 1e-12
+
+
+def test_correlation_route_matches_naive_oracle_at_Q_equal_x(field):
+    # the paper's range x (log x)^-M <= Q <= x, at its top: Q = x
+    x = Q = 300
+    report = nv.variance(field, x, Q)
+    ev = nv.norm_events(field, x)
+    assert stats._direct_bound(x, Q, len(ev), len(ev.slices)) == math.isqrt(x)
+    ref_total, ref_outside = naive_variance(field.variant, field.parameter, x, Q)
+    assert nv.rel_gap(report.total, ref_total) <= 1e-9
+    assert report.outside_mass == 0.0 and ref_outside == 0.0
+
+
+@pytest.mark.parametrize("x", [10**4, 10**4 + 200, 99 * 99 - 1])
+def test_routing_starts_above_isqrt_x(x):
+    field = nv.rational_field()
+    ev = nv.norm_events(field, x)
+    K = math.isqrt(x)
+    # up to isqrt(x) every q is direct; above it the route takes over
+    assert stats._direct_bound(x, K, len(ev), len(ev.slices)) == K
+    assert stats._direct_bound(x, x, len(ev), len(ev.slices)) == K
+    report = nv.variance(field, x, 3 * K)
+    assert report.per_q[:K] == stats._variance(field, x, K, 1, K).per_q
+
+
+def test_routing_keeps_direct_passes_where_the_correlation_costs_more():
+    # Q, x = 1e7 (665,134 events) and x = 1e8 (5,762,859), Q just above
+    # sqrt(x): the correlation's transforms grow with x^2, the few passes
+    # it would replace with x / log x
+    assert stats._direct_bound(10**7, 4000, 665_134, 2) == 4000
+    assert stats._direct_bound(10**8, 10_001, 5_762_859, 2) == 10_001
+    # at x = 1e7 and Q = 1e5 the passes for q in (3162, 1e5] cost more
+    assert stats._direct_bound(10**7, 10**5, 665_134, 2) == 3162
+
+
+def test_divisors_between_lists_every_divisor_in_range():
+    for D in (1, 2, 360, 412, 9973, 10**4):
+        for K, Q in ((100, 10**4), (100, 200), (math.isqrt(D), D)):
+            expected = [q for q in range(K + 1, Q + 1) if D % q == 0]
+            assert sorted(stats._divisors_between(D, K, Q).tolist()) == expected
 
 
 def _grouped_by_multiple(Q):
