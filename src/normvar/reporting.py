@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import abc
+from functools import lru_cache
 from typing import Iterator
 
 from .fields import FieldSpec
@@ -24,20 +25,7 @@ def format_float(v: float, digits: int = 15) -> str:
     return f"{v:.{digits}g}"
 
 
-def _emit(obj, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_emit(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+def _scalar(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
@@ -51,27 +39,38 @@ def _emit(obj, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _pieces(obj, indent: int) -> Iterator[str]:
-    """The text of `_emit(obj, indent)` in pieces, where obj or its members may be lists given as iterators.
+@lru_cache(maxsize=None)
+def _key(k: str) -> str:
+    return f"{json.dumps(k)}: "
 
-    A dict yields a piece per member, and an iterator one per item, read
-    once; each plain member is formatted whole by `_emit`.
+
+#: what `_scalar` writes; everything else is an object or an array
+_SCALARS = (str, int, float, type(None))
+
+
+def _pieces(obj, indent: int) -> Iterator[str]:
+    """The JSON text of obj in pieces, laid out as `json.dumps(obj, indent=2)`.
+
+    Arrays may be given as lists, tuples or iterators; an iterator is
+    read once, a piece per item, so rows given as a generator are
+    formatted as they are written.
     """
     if isinstance(obj, dict):
-        members, brackets = ((f"{json.dumps(k)}: ", v) for k, v in obj.items()), "{}"
-    elif isinstance(obj, abc.Iterator):
+        members, brackets = ((_key(k), v) for k, v in obj.items()), "{}"
+    elif isinstance(obj, (list, tuple, abc.Iterator)):
         members, brackets = (("", v) for v in obj), "[]"
     else:
-        yield _emit(obj, indent)
-        return
+        raise TypeError(f"cannot serialize {type(obj)!r}")
     pad = "  " * indent
     sep = brackets[0] + "\n"
     for prefix, value in members:
-        yield f"{sep}{pad}  {prefix}"
-        if isinstance(value, abc.Iterator):
+        if isinstance(value, _SCALARS):
+            yield f"{sep}{pad}  {prefix}{_scalar(value)}"
+        elif isinstance(value, abc.Iterator):
+            yield f"{sep}{pad}  {prefix}"
             yield from _pieces(value, indent + 1)
-        else:
-            yield _emit(value, indent + 1)
+        else:  # held whole already, so written as one piece
+            yield f"{sep}{pad}  {prefix}{''.join(_pieces(value, indent + 1))}"
         sep = ",\n"
     yield brackets if sep != ",\n" else f"\n{pad}{brackets[1]}"
 
@@ -81,13 +80,13 @@ _JSON_BLOCK = 1 << 16
 
 
 def json_text(obj) -> Iterator[str]:
-    """The text that `to_json_bytes(obj)` encodes, in blocks of about 64 KiB.
+    """The JSON text of obj and a final newline, in blocks of about 64 KiB.
 
     obj may give its lists as iterators, so the rows of a report are
     formatted as they are written and never held at once.
     """
     block, size = [], 0
-    for piece in _pieces(obj, 0):
+    for piece in (_scalar(obj),) if isinstance(obj, _SCALARS) else _pieces(obj, 0):
         block.append(piece)
         size += len(piece)
         if size >= _JSON_BLOCK:
@@ -98,7 +97,7 @@ def json_text(obj) -> Iterator[str]:
 
 
 def to_json_bytes(obj) -> bytes:
-    return (_emit(obj, 0) + "\n").encode("ascii")
+    return "".join(json_text(obj)).encode("ascii")
 
 
 def run_config(field: FieldSpec, **kwargs) -> dict:
@@ -149,16 +148,11 @@ def checks_payload(field: FieldSpec, config: dict, results) -> dict:
     }
 
 
-#: rows per block of the `variance` and `dump-events` CSVs
-_CSV_ROWS = 1 << 14
-
-
-def per_q_csv(report: VarianceReport) -> Iterator[str]:
-    """The variance CSV in blocks of 2^14 rows, header first."""
-    yield "q,phi_K,contribution\n"
-    rows = report.per_q
-    for lo in range(0, len(rows), _CSV_ROWS):
-        yield "".join(f"{r.q},{r.admissible},{format_float(r.contribution)}\n" for r in rows[lo : lo + _CSV_ROWS])
+def per_q_csv(report: VarianceReport) -> str:
+    lines = ["q,phi_K,contribution"]
+    for r in report.per_q:
+        lines.append(f"{r.q},{r.admissible},{format_float(r.contribution)}")
+    return "\n".join(lines) + "\n"
 
 
 def checks_csv(results) -> str:
@@ -166,6 +160,10 @@ def checks_csv(results) -> str:
     for r in results:
         lines.append(f"{r.name},{str(r.passed).lower()},{json.dumps(r.detail)}")
     return "\n".join(lines) + "\n"
+
+
+#: rows per block of the `dump-events` CSV
+_CSV_ROWS = 1 << 14
 
 
 def events_csv(columns: EventColumns) -> Iterator[str]:

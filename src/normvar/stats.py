@@ -294,6 +294,11 @@ def _pass_budget(events: int) -> int:
     return min(events // 16, _BLOCK // 2)
 
 
+def _pass_count(Q: int, budget: int) -> int:
+    """len(_pass_plan(Q, budget)); from Q = budget on no passes merge, one per target in (Q/2, Q]."""
+    return Q - Q // 2 if Q >= budget else len(_pass_plan(Q, budget))
+
+
 def _per_q_weights(field: FieldSpec, x: int, Q: int) -> Iterator[tuple[int, np.ndarray]]:
     """(q, class weights t_q) for every q <= Q, from as few passes over the events as fit.
 
@@ -334,9 +339,9 @@ def _direct_bound(x: int, Q: int, events: int, slices: int) -> int:
       * the route: about chunks^2 / _BAND + 2 * chunks transforms of 2L
         points (`_lag_spectra`), and as much again for their products and
         sums, whatever Q;
-      * the direct passes it replaces: those of the targets in (Q/2, Q]
-        beyond those in (K/2, K], each a scatter of every event per slice
-        at 5 steps (4.7-6.0 ns measured), and per q in (K, Q] its masks,
+      * the direct passes it replaces: those `_pass_plan` makes for q <= Q
+        beyond those it makes for q <= K, each a scatter of every event per
+        slice at 5 steps (4.7-6.0 ns measured), and per q in (K, Q] its masks,
         fold and deviations at 30,000 steps plus 6 per slice-table entry
         it folds (33 us at Q = 250, 158 us at Q = 10^4).
     The route's fixed work, a few milliseconds for the primes p <= Q and
@@ -349,7 +354,8 @@ def _direct_bound(x: int, Q: int, events: int, slices: int) -> int:
     L, chunks = _chunking(x)
     transforms, points = chunks * chunks // _BAND + 2 * chunks, 2 * L
     correlation = 2 * transforms * points * (points.bit_length() - 1)
-    passes = (Q - Q // 2) - (K - K // 2)
+    budget = _pass_budget(events)
+    passes = _pass_count(Q, budget) - _pass_count(K, budget)
     direct = 5 * passes * events * slices + (Q - K) * (30_000 + 6 * slices * Q)
     return K if correlation < direct else Q
 

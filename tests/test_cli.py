@@ -156,30 +156,25 @@ def test_variance_csv_format(capsys):
     assert lines[1].startswith("1,1,")
 
 
-def test_json_text_streams_the_bytes_of_to_json_bytes(monkeypatch):
+def test_json_text_streams_json_dumps_layout(monkeypatch):
     # small blocks, so the rows span many of them
     monkeypatch.setattr(reporting, "_JSON_BLOCK", 100)
-    rows = [{"q": q, "phi_K": q - 1, "contribution": q / 7} for q in range(1, 60)]
+    # no float here is integral or longer than 15 digits, so json.dumps
+    # writes each as format_float does
+    rows = [{"q": q, "phi_K": q - 1, "contribution": (2 * q + 1) / 16} for q in range(1, 60)]
     obj = {"a": 1, "b": {}, "c": [], "rows": rows, "d": {"e": [True, None, "s"]}, "f": 0.1}
-    streamed = {**obj, "rows": iter(rows), "c": iter([])}
+    streamed = {**obj, "rows": iter(rows), "c": iter([]), "d": {"e": (True, None, "s")}}
     blocks = list(reporting.json_text(streamed))
     assert len(blocks) > 10
-    assert "".join(blocks).encode("ascii") == reporting.to_json_bytes(obj)
-    # the layout is json's with indent=2; floats are written at 15 digits
-    exact = {**obj, "rows": [{**r, "contribution": r["q"]} for r in rows], "f": 1}
-    assert reporting.to_json_bytes(exact) == (json.dumps(exact, indent=2) + "\n").encode("ascii")
-
-
-def test_variance_csv_streams_rows_in_blocks(monkeypatch, capsys):
-    monkeypatch.setattr(reporting, "_CSV_ROWS", 7)
-    report = nv.variance(nv.rational_field(), 500, 20)
-    blocks = list(reporting.per_q_csv(report))
-    assert len(blocks) == 1 + 3
-    code, out, _ = run(capsys, "variance", "--field", "Q", "--x", "500", "--Q", "20", "--format", "csv")
-    assert code == 0 and out == "".join(blocks)
-    assert out.splitlines()[1:] == [
-        f"{r.q},{r.admissible},{reporting.format_float(r.contribution)}" for r in report.per_q
-    ]
+    expected = json.dumps(obj, indent=2) + "\n"
+    assert "".join(blocks) == expected
+    assert reporting.to_json_bytes(obj) == expected.encode("ascii")
+    # floats are written at 15 significant digits, scalars stand alone
+    assert reporting.to_json_bytes({"v": [1 / 7, 2.0]}) == b'{\n  "v": [\n    0.142857142857143,\n    2\n  ]\n}\n'
+    assert reporting.to_json_bytes(iter([])) == b"[]\n"
+    assert reporting.to_json_bytes("s") == b'"s"\n'
+    with pytest.raises(TypeError):
+        reporting.to_json_bytes({"v": object()})
 
 
 def test_variance_reruns_are_byte_identical(tmp_path, capsys):

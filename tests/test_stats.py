@@ -305,6 +305,12 @@ def test_routing_keeps_direct_passes_where_the_correlation_costs_more():
     # it would replace with x / log x
     assert stats._direct_bound(10**7, 4000, 665_134, 2) == 4000
     assert stats._direct_bound(10**8, 10_001, 5_762_859, 2) == 10_001
+    # below 2^15 passes merge (`_pass_count`); at x = 1e7 the whole variance
+    # took 34.5 s direct and 48 s routed at Q = 12,000, 54 s and 51 s at
+    # 16,000, 77 s and 48 s at 20,000
+    assert stats._direct_bound(10**7, 12_000, 665_134, 2) == 12_000
+    assert stats._direct_bound(10**7, 16_000, 665_134, 2) == 16_000
+    assert stats._direct_bound(10**7, 20_000, 665_134, 2) == 3162
     # at x = 1e7 and Q = 1e5 the passes for q in (3162, 1e5] cost more
     assert stats._direct_bound(10**7, 10**5, 665_134, 2) == 3162
 
@@ -351,6 +357,7 @@ def test_pass_plan_covers_every_modulus_once(Q):
     for budget in (0, 1, 50, 600, 2000, 5000, 41570):
         plan = stats._pass_plan(Q, budget)
         assert plan == _greedy_by_scan(Q, budget)
+        assert stats._pass_count(Q, budget) == len(plan)
         assigned = sorted(q for _, moduli in plan for q in moduli)
         assert assigned == list(range(1, Q + 1))
         for L, moduli in plan:
