@@ -148,13 +148,6 @@ def checks_payload(field: FieldSpec, config: dict, results) -> dict:
     }
 
 
-def per_q_csv(report: VarianceReport) -> str:
-    lines = ["q,phi_K,contribution"]
-    for r in report.per_q:
-        lines.append(f"{r.q},{r.admissible},{format_float(r.contribution)}")
-    return "\n".join(lines) + "\n"
-
-
 def checks_csv(results) -> str:
     lines = ["check,passed,detail"]
     for r in results:
@@ -162,7 +155,7 @@ def checks_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: rows per block of the `dump-events` CSV
+#: rows per block of the `dump-events` and `variance` CSVs
 _CSV_ROWS = 1 << 14
 
 
@@ -176,6 +169,14 @@ def events_csv(columns: EventColumns) -> Iterator[str]:
     for lo in range(0, columns.n.size, _CSV_ROWS):
         rows = zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in columns))
         yield "".join(f"{n},{p},{k},{dk},{format_float(lam, 12)}\n" for n, p, k, dk, lam in rows)
+
+
+def per_q_csv(report: VarianceReport) -> Iterator[str]:
+    """The `variance` CSV in blocks of 2^14 rows, header first, so its text is never held at once."""
+    yield "q,phi_K,contribution\n"
+    for lo in range(0, len(report.per_q), _CSV_ROWS):
+        rows = report.per_q[lo : lo + _CSV_ROWS]
+        yield "".join(f"{r.q},{r.admissible},{format_float(r.contribution)}\n" for r in rows)
 
 
 def gq_csv(field: FieldSpec, moduli) -> str:

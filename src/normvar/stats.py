@@ -11,9 +11,11 @@ tables of every q <= Q come from few passes over the events
 (`_per_q_weights`): each q folds out of a pass whose modulus L is a
 common multiple of several targets q * (Q // q) in (Q/2, Q], with L
 within max(Q, min(#events // 16, 2^15)).  The variance loop and the
-large sieve both read them.  `class_weights` is the direct route for one
-q, and `residue_buckets` caches its read-only result for the other
-checks.
+large sieve both read them.  A command plans those passes once
+(`shared_schedule`): its variance loop folds the t_q that the command's
+checks read as well, and holds them for those checks.
+`class_weights` is the direct route for one q, and `residue_buckets`
+caches its read-only result, or the held t_q, for the checks.
 
 The variance report needs only the sum of squares of t_q over the
 admissible classes, not t_q itself, and for q > sqrt(x) it takes that
@@ -44,9 +46,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,6 +57,7 @@ from .arith import divisors, euler_phi, factorize
 from .characters import (
     DirichletCharacter,
     character_matrix,
+    character_values,
     conductor_table,
     primitive_part,
 )
@@ -131,11 +135,18 @@ def class_weights(n: np.ndarray, slices: tuple[np.ndarray, ...], q: int) -> np.n
 
 @lru_cache(maxsize=512)
 def residue_buckets(field: FieldSpec, x: int, q: int) -> np.ndarray:
-    """Cached, read-only class weights t[a] of the events up to x, a = 0..q-1."""
+    """Cached, read-only class weights t[a] of the events up to x, a = 0..q-1.
+
+    Inside `shared_schedule` the t_q that the variance loop held is taken,
+    without a pass of its own.
+    """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    ev = norm_events(field, x)
-    t = class_weights(ev.n, ev.slices, q)
+    schedule = _scheduled(field, x)
+    t = schedule.held.get(q) if schedule is not None else None
+    if t is None:
+        ev = norm_events(field, x)
+        t = class_weights(ev.n, ev.slices, q)
     t.setflags(write=False)
     return t
 
@@ -227,7 +238,8 @@ def _dyadic_blocks(
     per_q: tuple[PerQContribution, ...], Q: int, cutoff: float
 ) -> tuple[DyadicBlock, ...]:
     def block_sum(lo: float, hi: float) -> float:
-        return math.fsum(r.contribution for r in per_q if lo < r.q <= hi)
+        # the rows are q = 1..Q in order, so lo < q <= hi is one slice of them
+        return math.fsum(r.contribution for r in per_q[math.floor(lo) : math.floor(hi)])
 
     if cutoff >= Q:
         return (DyadicBlock(0.0, float(Q), block_sum(0.0, float(Q))),)
@@ -309,6 +321,52 @@ def _per_q_weights(field: FieldSpec, x: int, Q: int) -> Iterator[tuple[int, np.n
         tables = slice_tables(ev.n, ev.slices, L)
         for q in moduli:
             yield q, fold(tables, q)
+
+
+class _Schedule:
+    """The moduli whose class weights the checks of one command read, and their t_q once folded."""
+
+    def __init__(self, field: FieldSpec, x: int, moduli: Iterable[int]):
+        self.field, self.x = field, x
+        self.moduli = frozenset(moduli)
+        self.held: dict[int, np.ndarray] = {}
+
+
+#: the schedule of the command running now, if it opened `shared_schedule`
+_schedule: _Schedule | None = None
+
+
+def _scheduled(field: FieldSpec, x: int) -> _Schedule | None:
+    """The open schedule if its checks read the events of (field, x)."""
+    if _schedule is not None and _schedule.field == field and _schedule.x == x:
+        return _schedule
+    return None
+
+
+@contextmanager
+def shared_schedule(field: FieldSpec, x: int, moduli: Iterable[int]) -> Iterator[None]:
+    """One schedule of passes over the events of (field, x) for the command in the block.
+
+    A `variance` over (field, x) in the block plans its passes over every
+    q up to its direct bound and up to the largest of `moduli`, and holds
+    the t_q of `moduli` as it folds them.  `residue_buckets` hands those
+    out, so `orthogonality_check` and `character_sum` make no pass of
+    their own, and `large_sieve_check(field, x, Q)` reads them when every
+    q <= Q is held.  Exact class sums make every t_q the same from any
+    pass, so no result changes.  Without a variance run, and outside the
+    block, each check makes its own passes.
+
+    The checks' character sums are taken after the loop, not as each t_q
+    is folded: a matrix product between two passes wakes the BLAS
+    threads, which then spin beside the passes after it (about 1 s more
+    CPU at x = 1e7, Q = 1000 on 2 cores).
+    """
+    global _schedule
+    outer, _schedule = _schedule, _Schedule(field, x, moduli)
+    try:
+        yield
+    finally:
+        _schedule = outer
 
 
 #: chunk length of the blocked autocorrelation: each chunk of the dense
@@ -606,11 +664,21 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
 
 
 def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> VarianceReport:
-    """The variance report with q <= `direct` on the direct passes and the larger q on the correlation route."""
+    """The variance report with q <= `direct` on the direct passes and the larger q on the correlation route.
+
+    Inside `shared_schedule` the passes also cover the moduli its checks
+    read, and their t_q are held for them.
+    """
     counts = np.zeros(Q + 1, dtype=np.int64)
     contributions = np.zeros(Q + 1)
     outside = np.zeros(Q + 1)
-    for q, t in _per_q_weights(field, x, direct):
+    schedule = _scheduled(field, x)
+    bound = direct if schedule is None else max(direct, max(schedule.moduli, default=0))
+    for q, t in _per_q_weights(field, x, bound):
+        if schedule is not None and q in schedule.moduli:
+            schedule.held[q] = t
+        if q > direct:
+            continue
         member, coprime = residue_masks(field, q)
         counts[q] = count = np.count_nonzero(member)
         dev = t[member] - x / count
@@ -660,19 +728,25 @@ def large_sieve_check(field: FieldSpec, x: int, Q: int) -> LargeSieveResult:
 
     lhs = sum over q <= Q of (q / phi(q)) * sum over primitive chi mod q
     of |character_sum|^2; holds when lhs <= rhs * (1 + 1e-9).  The class
-    weights come from the passes of `_per_q_weights`, the primitive rows
-    of `character_matrix(q)` from `conductor_table(q)`, and `math.fsum`
+    weights come from the passes of `_per_q_weights`, or inside
+    `shared_schedule` from those of the variance loop, the primitive rows
+    of `character_values(q)` from `conductor_table(q)`, and `math.fsum`
     of the terms does not depend on their order.
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     _, second_moment = event_moment_sums(field, x)
+    schedule = _scheduled(field, x)
+    if schedule is not None and all(q in schedule.held for q in range(1, Q + 1)):
+        weights = ((q, t) for q, t in schedule.held.items() if q <= Q)
+    else:
+        weights = _per_q_weights(field, x, Q)
     terms = []
-    for q, t in _per_q_weights(field, x, Q):
+    for q, t in weights:
         prim = conductor_table(q) == q
         if not prim.any():
             continue
-        psi = (character_matrix(q) @ t)[prim]
+        psi = (character_values(q) @ t)[prim]
         square = math.fsum((psi.real * psi.real + psi.imag * psi.imag).tolist())
         terms.append(q / euler_phi(q) * square)
     lhs = math.fsum(terms)

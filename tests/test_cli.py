@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import normvar as nv
-from normvar import cli, reporting
+from normvar import cli, reporting, stats
 from normvar.cli import main
 from naive_oracle import naive_events
 
@@ -154,6 +154,46 @@ def test_variance_csv_format(capsys):
     assert lines[0] == "q,phi_K,contribution"
     assert len(lines) == 21
     assert lines[1].startswith("1,1,")
+
+
+def test_variance_csv_blocks_join_to_one_csv(monkeypatch, capsys):
+    # small blocks, so the rows span several of them
+    monkeypatch.setattr(reporting, "_CSV_ROWS", 7)
+    report = nv.variance(nv.rational_field(), 500, 20)
+    rows = [f"{r.q},{r.admissible},{reporting.format_float(r.contribution)}" for r in report.per_q]
+    code, out, _ = run(
+        capsys, "variance", "--field", "Q", "--x", "500", "--Q", "20", "--format", "csv"
+    )
+    assert code == 0
+    assert out == "\n".join(["q,phi_K,contribution"] + rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, label, x", [("variance", "Q", 200_000), ("checks", "quad:-1", 100_000)]
+)
+def test_one_schedule_of_passes_per_command(command, label, x, monkeypatch, capsys):
+    # Q = 300 <= isqrt(x), so every variance row is on the passes; the
+    # variance run plans them once over the union of the moduli the
+    # command reads: its rows, the held moduli and the large sieve
+    Q = 300
+    if command == "variance":
+        rows, sieve = Q, min(Q, cli.VARIANCE_LARGE_SIEVE_CAP)
+    else:
+        rows, sieve = min(Q, cli.OUTSIDE_MASS_CAP, x), min(Q, cli.LARGE_SIEVE_CAP)
+    union = max(rows, max(cli.CHECKED_MODULI), sieve)
+    passes = []
+    slice_tables = stats.slice_tables
+
+    def counted(n, slices, modulus):
+        passes.append(modulus)
+        return slice_tables(n, slices, modulus)
+
+    monkeypatch.setattr(stats, "slice_tables", counted)
+    code, _, _ = run(capsys, command, "--field", label, "--x", str(x), "--Q", str(Q))
+    assert code == 0
+    events = len(nv.norm_events(nv.parse_field(label), x))
+    plan = stats._pass_plan(union, stats._pass_budget(events))
+    assert passes == [L for L, _ in plan]
 
 
 def test_json_text_streams_json_dumps_layout(monkeypatch):

@@ -403,6 +403,18 @@ def test_dyadic_partition_sums_to_total(field):
         assert blocks[-1].u_lo == 0.0
 
 
+@pytest.mark.parametrize("Q", [1, 2, 7, 64, 100, 1001])
+@pytest.mark.parametrize("cutoff", [0.25, 0.6931, 1.0, 3.0, 4.7, 16.0, 47.7, 1e300])
+def test_dyadic_blocks_sum_the_rows_of_their_range(Q, cutoff):
+    # each block sums the rows lo < q <= hi, whatever the block edges
+    rng = np.random.default_rng(Q)
+    values = (rng.random(Q) * 10.0 ** rng.integers(-3, 8, Q)).tolist()
+    per_q = tuple(stats.PerQContribution(q, 1, v) for q, v in zip(range(1, Q + 1), values))
+    for b in stats._dyadic_blocks(per_q, Q, cutoff):
+        inside = [r.contribution for r in per_q if b.u_lo < r.q <= b.u_hi]
+        assert b.contribution == math.fsum(inside), (b.u_lo, b.u_hi)
+
+
 def test_dyadic_small_q_cutoff_value():
     report = nv.variance(nv.rational_field(), 1000, 50, M=1)
     assert report.small_q_cutoff == pytest.approx(math.log(1000) ** 2, rel=1e-15)
@@ -465,6 +477,28 @@ def test_large_sieve_lhs_equals_direct_loop(label):
             square = math.fsum((psi.real * psi.real + psi.imag * psi.imag).tolist())
             terms.append(q / euler_phi(q) * square)
     assert nv.large_sieve_check(field, x, Q).lhs == math.fsum(terms)
+
+
+def test_shared_schedule_serves_the_checks_from_the_variance_passes(field, monkeypatch):
+    # the held moduli reach above the variance's Q
+    x, Q, sieve = 4321, 40, 50
+    ev = nv.norm_events(field, x)
+    alone = nv.variance(field, x, Q)
+    sieve_alone = [nv.large_sieve_check(field, x, s) for s in (sieve, 20)]
+    direct = {q: class_weights(ev.n, ev.slices, q) for q in (1, 9, 30, 60)}
+    with stats.shared_schedule(field, x, set(range(1, sieve + 1)) | {60}):
+        assert nv.variance(field, x, Q) == alone
+        passes = []
+        slice_tables = stats.slice_tables
+        monkeypatch.setattr(stats, "slice_tables", lambda *a: passes.append(a) or slice_tables(*a))
+        assert [nv.large_sieve_check(field, x, s) for s in (sieve, 20)] == sieve_alone
+        for q, t in direct.items():
+            assert np.array_equal(nv.residue_buckets(field, x, q), t)
+        assert passes == []
+        # a bound above the schedule's makes passes of its own
+        nv.large_sieve_check(field, x, sieve + 1)
+        assert passes
+    assert stats._schedule is None
 
 
 def test_large_sieve_q1_term_is_first_moment_squared(field):
