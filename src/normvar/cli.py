@@ -17,11 +17,12 @@ class-index, orthogonality, outside-mass, large-sieve and char-exchange;
 dyadic-partition on its own report.  `_finish` prints one PASS/FAIL
 line per check to stderr and picks the exit status for both.
 
-Both commands make one schedule of passes over the events
-(`stats.shared_schedule`): their variance run, the report's or the
-outside-mass one, also folds and holds the class weights t_q that the
-checks read, those of CHECKED_MODULI for orthogonality and
-char-exchange and those of every q up to the large-sieve cap.
+Every modulus that orthogonality, char-exchange and the `variance` large
+sieve read is at most `stats._HELD_BOUND`, so the event table holds the
+class weights t_q that the first passes of a command fold, and the
+checks after them read those: in `variance` the report's passes, in
+`checks` the large sieve's, which it therefore computes before
+orthogonality, outside-mass and char-exchange.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ from .reporting import (
     to_json_bytes,
     variance_payload,
 )
-from .sieve import EVENT_MEMORY_BUDGET, event_columns
+from .sieve import EVENT_MEMORY_BUDGET, event_columns, norm_events
 from .stats import (
     REL_TOL,
     large_sieve_check,
     orthogonality_check,
     primitive_exchange_diff,
     rel_gap,
-    shared_schedule,
     variance,
 )
 from .arith import euler_phi
@@ -62,10 +62,6 @@ from .arith import euler_phi
 ORTHOGONALITY_MODULI = tuple(range(1, 31)) + (60, 120)
 #: moduli of the imprimitive characters the exchange check covers
 EXCHANGE_MODULI = range(2, 31)
-#: moduli whose class weights orthogonality and char-exchange read: the
-#: grid, and every q <= 30, which holds the conductors of the exchange
-#: characters
-CHECKED_MODULI = frozenset(ORTHOGONALITY_MODULI).union(range(1, EXCHANGE_MODULI.stop))
 GQ_ORACLE_CAP = 300
 #: peak bytes per residue of `gq --q`, rounded up: q = 10,000,019 peaked
 #: at 1188 MiB, 125 bytes per residue with the interpreter
@@ -82,10 +78,10 @@ GQ_MAX_MODULUS = EVENT_MEMORY_BUDGET // GQ_BYTES_PER_RESIDUE
 GQ_MAX_BOUND = 13_376
 OUTSIDE_MASS_CAP = 50
 LARGE_SIEVE_CAP = 300
-#: large-sieve cap inside variance reports.  Their t_q come from the shared
-#: schedule, free wherever the variance loop passes q <= 300 anyway, but
-#: the character matrices and sums of q = 101..300 would add about 0.15 s
-#: (against 0.02 s for q <= 100), some 7% of a run at x = 1e7, Q = 1000
+#: large-sieve cap inside variance reports, within `stats._HELD_BOUND`, so
+#: that the t_q the variance loop folded serve it; the character matrices
+#: and sums of q = 101..300 would add about 0.15 s (against 0.02 s for
+#: q <= 100), some 7% of a run at x = 1e7, Q = 1000
 VARIANCE_LARGE_SIEVE_CAP = 100
 #: key in the variance report's `checks` block of each standard check
 VARIANCE_BLOCK_KEYS = {
@@ -198,11 +194,6 @@ def standard_checks(field, x: int, Q: int) -> list[Check]:
     ]
 
 
-def _checked_moduli(sieve_bound: int) -> frozenset[int]:
-    """Every modulus whose class weights the checks read, with the large sieve up to `sieve_bound`."""
-    return CHECKED_MODULI.union(range(1, sieve_bound + 1))
-
-
 def _finish(results: list[Check]) -> int:
     """Print one PASS/FAIL line per check; the exit status is 1 if any failed."""
     for r in results:
@@ -224,9 +215,8 @@ def _report_field(args):
 
 def cmd_variance(args) -> int:
     field = _report_field(args)
-    with shared_schedule(field, args.x, _checked_moduli(min(args.Q, VARIANCE_LARGE_SIEVE_CAP))):
-        report = variance(field, args.x, args.Q, M=args.M)
-        checks = standard_checks(field, args.x, args.Q)
+    report = variance(field, args.x, args.Q, M=args.M)
+    checks = standard_checks(field, args.x, args.Q)
     if args.format == "json":
         config = run_config(field, x=args.x, Q=args.Q, M=args.M, format=args.format)
         block = {VARIANCE_BLOCK_KEYS[c.name]: c.value for c in checks}
@@ -240,18 +230,20 @@ def cmd_variance(args) -> int:
 
 def cmd_checks(args) -> int:
     field = _report_field(args)
-    sieve_bound = min(args.Q, LARGE_SIEVE_CAP)
-    with shared_schedule(field, args.x, _checked_moduli(sieve_bound)):
-        # first, so that its passes serve the checks after it
-        outside = outside_mass(variance(field, args.x, min(args.Q, OUTSIDE_MASS_CAP, args.x)))
-        results = [
-            gq_oracle(field, args.Q, args.B),
-            class_index(field, args.Q),
-            orthogonality(field, args.x),
-            outside,
-            large_sieve(field, args.x, sieve_bound),
-            char_exchange(field, args.x),
-        ]
+    # the events first: built after the class groups, they raised the peak
+    # of `checks --field Q --x 1e6 --Q 300` by 1.4 MiB
+    norm_events(field, args.x)
+    oracle, index = gq_oracle(field, args.Q, args.B), class_index(field, args.Q)
+    # before the checks it serves: its passes hold every t_q they read
+    sieve = large_sieve(field, args.x, min(args.Q, LARGE_SIEVE_CAP))
+    results = [
+        oracle,
+        index,
+        orthogonality(field, args.x),
+        outside_mass(variance(field, args.x, min(args.Q, OUTSIDE_MASS_CAP, args.x))),
+        sieve,
+        char_exchange(field, args.x),
+    ]
     if args.format == "json":
         config = run_config(field, x=args.x, Q=args.Q, B=args.B, format=args.format)
         _write(args.out, json_text(checks_payload(field, config, results)))

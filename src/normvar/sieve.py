@@ -19,8 +19,9 @@ statistics read only n, the class sums of the weights w = dk * lam and
 the moments S1 = sum w and S2 = sum w^2, so `norm_events` is the one
 cache of event data: its table holds n as uint32, the weights split
 into slices whose sums are exact in any order (`weight_slices`, two
-float64 slices for every table measured: 20 bytes per event) and
-(S1, S2).  `event_columns` sorts all five columns (n, p, k, dk, lam)
+float64 slices for every table measured: 20 bytes per event),
+(S1, S2), and the class sums of the small moduli that `stats` folds out
+of them (`held`).  `event_columns` sorts all five columns (n, p, k, dk, lam)
 from the same blocks without caching them, for the `dump-events` CSV and
 the tests.
 """
@@ -109,15 +110,19 @@ class NormEventTable:
     split by `weight_slices`: each slice sums exactly in any order, and
     the slices add up to w, so adding them from the smallest rebuilds w
     bit for bit (`weights`).  `moments` is (S1, S2), the correctly
-    rounded sums of w and w^2.  Every array is read-only.
+    rounded sums of w and w^2.  `held` maps a modulus q to the class
+    weights t_q of these events, once `stats` has folded them; it holds
+    the q <= `stats._HELD_BOUND` and starts empty.  Every array is
+    read-only.
     """
 
-    __slots__ = ("n", "slices", "moments")
+    __slots__ = ("n", "slices", "moments", "held")
 
     def __init__(self, n: np.ndarray, slices: tuple[np.ndarray, ...], moments: tuple[float, float]):
         self.n = n
         self.slices = slices
         self.moments = moments
+        self.held: dict[int, np.ndarray] = {}
         for column in (n, *slices):
             column.setflags(write=False)
 

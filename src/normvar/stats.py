@@ -11,11 +11,12 @@ tables of every q <= Q come from few passes over the events
 (`_per_q_weights`): each q folds out of a pass whose modulus L is a
 common multiple of several targets q * (Q // q) in (Q/2, Q], with L
 within max(Q, min(#events // 16, 2^15)).  The variance loop and the
-large sieve both read them.  A command plans those passes once
-(`shared_schedule`): its variance loop folds the t_q that the command's
-checks read as well, and holds them for those checks.
-`class_weights` is the direct route for one q, and `residue_buckets`
-caches its read-only result, or the held t_q, for the checks.
+large sieve both read them.  The event table holds every t_q with
+q <= _HELD_BOUND that any pass folds (`NormEventTable.held`), which
+covers every modulus the orthogonality, char-exchange and `variance`
+large-sieve checks read: so a command's checks read the t_q its first
+passes folded.  `class_weights` is the direct route for one q, and
+`residue_buckets` hands out the held t_q, or makes that direct pass.
 
 The variance report needs only the sum of squares of t_q over the
 admissible classes, not t_q itself, and for q > sqrt(x) it takes that
@@ -46,10 +47,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -133,21 +132,33 @@ def class_weights(n: np.ndarray, slices: tuple[np.ndarray, ...], q: int) -> np.n
     return fold(slice_tables(n, slices, q), q)
 
 
-@lru_cache(maxsize=512)
-def residue_buckets(field: FieldSpec, x: int, q: int) -> np.ndarray:
-    """Cached, read-only class weights t[a] of the events up to x, a = 0..q-1.
+#: largest modulus whose t_q the event table holds: orthogonality reads
+#: q <= 120, char-exchange q <= 30 and the `variance` large sieve q <= 100
+_HELD_BOUND = 120
 
-    Inside `shared_schedule` the t_q that the variance loop held is taken,
-    without a pass of its own.
+
+def _hold(ev: NormEventTable, q: int, t: np.ndarray) -> np.ndarray:
+    """t_q made read-only and, for q <= _HELD_BOUND, held by the event table.
+
+    A t_q held already is kept and returned, so an array once handed out
+    stays the same object.
+    """
+    t.setflags(write=False)
+    return ev.held.setdefault(q, t) if q <= _HELD_BOUND else t
+
+
+def residue_buckets(field: FieldSpec, x: int, q: int) -> np.ndarray:
+    """Read-only class weights t[a] of the events up to x, a = 0..q-1.
+
+    Held for q <= _HELD_BOUND: a t_q that a pass over the event table has
+    folded is taken without a pass of its own.
     """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    schedule = _scheduled(field, x)
-    t = schedule.held.get(q) if schedule is not None else None
+    ev = norm_events(field, x)
+    t = ev.held.get(q)
     if t is None:
-        ev = norm_events(field, x)
-        t = class_weights(ev.n, ev.slices, q)
-    t.setflags(write=False)
+        t = _hold(ev, q, class_weights(ev.n, ev.slices, q))
     return t
 
 
@@ -312,61 +323,21 @@ def _pass_count(Q: int, budget: int) -> int:
 
 
 def _per_q_weights(field: FieldSpec, x: int, Q: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(q, class weights t_q) for every q <= Q, from as few passes over the events as fit.
+    """(q, read-only class weights t_q) for every q <= Q, from as few passes over the events as fit.
 
-    The passes take moduli up to max(Q, `_pass_budget(#events)`).
+    Where the event table holds every q <= Q, its t_q are yielded without
+    a pass.  Otherwise the passes take moduli up to max(Q,
+    `_pass_budget(#events)`), and the t_q they fold with q <= _HELD_BOUND
+    are held.  Exact class sums make every t_q the same from any pass.
     """
     ev = norm_events(field, x)
+    if all(q in ev.held for q in range(1, Q + 1)):
+        yield from ((q, ev.held[q]) for q in range(1, Q + 1))
+        return
     for L, moduli in _pass_plan(Q, _pass_budget(ev.n.size)):
         tables = slice_tables(ev.n, ev.slices, L)
         for q in moduli:
-            yield q, fold(tables, q)
-
-
-class _Schedule:
-    """The moduli whose class weights the checks of one command read, and their t_q once folded."""
-
-    def __init__(self, field: FieldSpec, x: int, moduli: Iterable[int]):
-        self.field, self.x = field, x
-        self.moduli = frozenset(moduli)
-        self.held: dict[int, np.ndarray] = {}
-
-
-#: the schedule of the command running now, if it opened `shared_schedule`
-_schedule: _Schedule | None = None
-
-
-def _scheduled(field: FieldSpec, x: int) -> _Schedule | None:
-    """The open schedule if its checks read the events of (field, x)."""
-    if _schedule is not None and _schedule.field == field and _schedule.x == x:
-        return _schedule
-    return None
-
-
-@contextmanager
-def shared_schedule(field: FieldSpec, x: int, moduli: Iterable[int]) -> Iterator[None]:
-    """One schedule of passes over the events of (field, x) for the command in the block.
-
-    A `variance` over (field, x) in the block plans its passes over every
-    q up to its direct bound and up to the largest of `moduli`, and holds
-    the t_q of `moduli` as it folds them.  `residue_buckets` hands those
-    out, so `orthogonality_check` and `character_sum` make no pass of
-    their own, and `large_sieve_check(field, x, Q)` reads them when every
-    q <= Q is held.  Exact class sums make every t_q the same from any
-    pass, so no result changes.  Without a variance run, and outside the
-    block, each check makes its own passes.
-
-    The checks' character sums are taken after the loop, not as each t_q
-    is folded: a matrix product between two passes wakes the BLAS
-    threads, which then spin beside the passes after it (about 1 s more
-    CPU at x = 1e7, Q = 1000 on 2 cores).
-    """
-    global _schedule
-    outer, _schedule = _schedule, _Schedule(field, x, moduli)
-    try:
-        yield
-    finally:
-        _schedule = outer
+            yield q, _hold(ev, q, fold(tables, q))
 
 
 #: chunk length of the blocked autocorrelation: each chunk of the dense
@@ -615,6 +586,9 @@ def _correlation_rows(field: FieldSpec, x: int, K: int, Q: int):
     """
     ev = norm_events(field, x)
     S1, S2 = ev.moments
+    # first, so that the transforms' spectra are not held beside the
+    # per-q arrays below (about 0.7 MiB off the peak at x = 1e6, Q = 1e4)
+    lag_sums = _lag_sums(ev, x, K, Q)
     m = field.conductor
     g = np.gcd(np.arange(K + 1, Q + 1), m)
     divs = divisors(m)
@@ -625,7 +599,7 @@ def _correlation_rows(field: FieldSpec, x: int, K: int, Q: int):
     outside, outside_sq = _outside_classes(field, ev, K, Q, g)
     count = phi // phi_g * image_g
     member_sum = S1 - non_unit - outside
-    member_sq = S2 + 2 * _lag_sums(ev, x, K, Q) - non_unit_sq - outside_sq
+    member_sq = S2 + 2 * lag_sums - non_unit_sq - outside_sq
     mean = x / count
     return count, member_sq - 2 * mean * member_sum + count * mean * mean, outside
 
@@ -664,21 +638,11 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
 
 
 def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> VarianceReport:
-    """The variance report with q <= `direct` on the direct passes and the larger q on the correlation route.
-
-    Inside `shared_schedule` the passes also cover the moduli its checks
-    read, and their t_q are held for them.
-    """
+    """The variance report with q <= `direct` on the direct passes and the larger q on the correlation route."""
     counts = np.zeros(Q + 1, dtype=np.int64)
     contributions = np.zeros(Q + 1)
     outside = np.zeros(Q + 1)
-    schedule = _scheduled(field, x)
-    bound = direct if schedule is None else max(direct, max(schedule.moduli, default=0))
-    for q, t in _per_q_weights(field, x, bound):
-        if schedule is not None and q in schedule.moduli:
-            schedule.held[q] = t
-        if q > direct:
-            continue
+    for q, t in _per_q_weights(field, x, direct):
         member, coprime = residue_masks(field, q)
         counts[q] = count = np.count_nonzero(member)
         dev = t[member] - x / count
@@ -728,21 +692,19 @@ def large_sieve_check(field: FieldSpec, x: int, Q: int) -> LargeSieveResult:
 
     lhs = sum over q <= Q of (q / phi(q)) * sum over primitive chi mod q
     of |character_sum|^2; holds when lhs <= rhs * (1 + 1e-9).  The class
-    weights come from the passes of `_per_q_weights`, or inside
-    `shared_schedule` from those of the variance loop, the primitive rows
-    of `character_values(q)` from `conductor_table(q)`, and `math.fsum`
-    of the terms does not depend on their order.
+    weights come from `_per_q_weights`, the primitive rows of
+    `character_values(q)` from `conductor_table(q)`, and `math.fsum` of
+    the terms does not depend on their order.
+
+    Every t_q is taken before the first character sum: a matrix product
+    between two passes wakes the BLAS threads, which then spin beside the
+    passes after it (about 1 s more CPU at x = 1e7, Q = 1000 on 2 cores).
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     _, second_moment = event_moment_sums(field, x)
-    schedule = _scheduled(field, x)
-    if schedule is not None and all(q in schedule.held for q in range(1, Q + 1)):
-        weights = ((q, t) for q, t in schedule.held.items() if q <= Q)
-    else:
-        weights = _per_q_weights(field, x, Q)
     terms = []
-    for q, t in weights:
+    for q, t in list(_per_q_weights(field, x, Q)):
         prim = conductor_table(q) == q
         if not prim.any():
             continue

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import normvar as nv
-from normvar import cli, reporting, stats
+from normvar import cli, reporting, sieve, stats
 from normvar.cli import main
 from naive_oracle import naive_events
 
@@ -172,15 +172,12 @@ def test_variance_csv_blocks_join_to_one_csv(monkeypatch, capsys):
     "command, label, x", [("variance", "Q", 200_000), ("checks", "quad:-1", 100_000)]
 )
 def test_one_schedule_of_passes_per_command(command, label, x, monkeypatch, capsys):
-    # Q = 300 <= isqrt(x), so every variance row is on the passes; the
-    # variance run plans them once over the union of the moduli the
-    # command reads: its rows, the held moduli and the large sieve
+    # Q = 300 <= isqrt(x), so every variance row is on the passes.  The
+    # first plan over q <= 300, the report's in `variance` and the large
+    # sieve's in `checks`, folds every t_q the other checks read, and the
+    # event table holds them; a fresh table, so that no earlier run did
     Q = 300
-    if command == "variance":
-        rows, sieve = Q, min(Q, cli.VARIANCE_LARGE_SIEVE_CAP)
-    else:
-        rows, sieve = min(Q, cli.OUTSIDE_MASS_CAP, x), min(Q, cli.LARGE_SIEVE_CAP)
-    union = max(rows, max(cli.CHECKED_MODULI), sieve)
+    sieve._event_table.cache_clear()
     passes = []
     slice_tables = stats.slice_tables
 
@@ -192,8 +189,16 @@ def test_one_schedule_of_passes_per_command(command, label, x, monkeypatch, caps
     code, _, _ = run(capsys, command, "--field", label, "--x", str(x), "--Q", str(Q))
     assert code == 0
     events = len(nv.norm_events(nv.parse_field(label), x))
-    plan = stats._pass_plan(union, stats._pass_budget(events))
+    plan = stats._pass_plan(Q, stats._pass_budget(events))
     assert passes == [L for L, _ in plan]
+
+
+def test_every_checked_modulus_is_held():
+    # orthogonality, char-exchange and the variance large sieve read no
+    # t_q that the event table does not hold
+    assert max(cli.ORTHOGONALITY_MODULI) <= stats._HELD_BOUND
+    assert max(cli.EXCHANGE_MODULI) <= stats._HELD_BOUND
+    assert cli.VARIANCE_LARGE_SIEVE_CAP <= stats._HELD_BOUND
 
 
 def test_json_text_streams_json_dumps_layout(monkeypatch):

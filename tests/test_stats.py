@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import normvar as nv
-from normvar import stats
+from normvar import sieve, stats
 from normvar.arith import euler_phi
 from normvar.fields import kernel_image
 from normvar.sieve import weight_slices
@@ -479,26 +479,55 @@ def test_large_sieve_lhs_equals_direct_loop(label):
     assert nv.large_sieve_check(field, x, Q).lhs == math.fsum(terms)
 
 
-def test_shared_schedule_serves_the_checks_from_the_variance_passes(field, monkeypatch):
-    # the held moduli reach above the variance's Q
-    x, Q, sieve = 4321, 40, 50
+def test_event_table_serves_the_checks_from_the_variance_passes(field, monkeypatch):
+    # Q = 120 <= isqrt(x), so the variance loop passes every held modulus
+    x, Q = 20_000, stats._HELD_BOUND
+    sieve._event_table.cache_clear()
+    sieve_alone = [nv.large_sieve_check(field, x, s) for s in (Q, 20)]
+    sieve._event_table.cache_clear()
     ev = nv.norm_events(field, x)
-    alone = nv.variance(field, x, Q)
-    sieve_alone = [nv.large_sieve_check(field, x, s) for s in (sieve, 20)]
-    direct = {q: class_weights(ev.n, ev.slices, q) for q in (1, 9, 30, 60)}
-    with stats.shared_schedule(field, x, set(range(1, sieve + 1)) | {60}):
-        assert nv.variance(field, x, Q) == alone
-        passes = []
-        slice_tables = stats.slice_tables
-        monkeypatch.setattr(stats, "slice_tables", lambda *a: passes.append(a) or slice_tables(*a))
-        assert [nv.large_sieve_check(field, x, s) for s in (sieve, 20)] == sieve_alone
-        for q, t in direct.items():
-            assert np.array_equal(nv.residue_buckets(field, x, q), t)
-        assert passes == []
-        # a bound above the schedule's makes passes of its own
-        nv.large_sieve_check(field, x, sieve + 1)
-        assert passes
-    assert stats._schedule is None
+    assert ev.held == {}
+    report = nv.variance(field, x, Q)
+    assert sorted(ev.held) == list(range(1, stats._HELD_BOUND + 1))
+    for q, t in ev.held.items():
+        assert not t.flags.writeable
+        assert np.array_equal(t, class_weights(ev.n, ev.slices, q)), q
+    passes = []
+    slice_tables = stats.slice_tables
+    monkeypatch.setattr(stats, "slice_tables", lambda *a: passes.append(a) or slice_tables(*a))
+    assert nv.variance(field, x, Q) == report
+    assert [nv.large_sieve_check(field, x, s) for s in (Q, 20)] == sieve_alone
+    for q in (1, 9, 30, 60, 120):
+        assert nv.residue_buckets(field, x, q) is ev.held[q]
+        assert nv.orthogonality_check(field, x, q).gap <= nv.REL_TOL
+    for chi in nv.enumerate_characters(12):
+        assert nv.character_sum(field, x, chi) == complex(np.dot(chi.value_table(), ev.held[12]))
+    assert passes == []
+    # a bound above the held moduli makes passes of its own
+    nv.large_sieve_check(field, x, Q + 1)
+    assert passes
+
+
+def test_a_new_event_table_holds_nothing(field, monkeypatch):
+    # the held t_q live on the table, not under (field, x): a table with two
+    # more events for the same (field, x) is served its own class weights.
+    # No prime power is 6 or 10 (mod 12), so only the added events are there
+    x, q = 1000, 12
+    ev = nv.norm_events(field, x)
+    cached = nv.residue_buckets(field, x, q)
+    assert ev.held[q] is cached
+    assert sieve._event_table.__wrapped__(field, x).held == {}
+    n = np.concatenate([ev.n, np.array([6, 10], dtype=ev.n.dtype)])
+    w = np.concatenate([ev.weights(), [1.25, 0.75]])
+    order = np.argsort(n)
+    table = nv.NormEventTable(n[order], weight_slices(w[order]), (math.fsum(w), math.fsum(w * w)))
+    assert table.held == {}
+    monkeypatch.setattr(stats, "norm_events", lambda f, bound: table)
+    t = nv.residue_buckets(field, x, q)
+    assert table.held[q] is t
+    assert np.array_equal(t, class_weights(table.n, table.slices, q))
+    assert cached[6] == cached[10] == 0.0
+    assert t[6] == 1.25 and t[10] == 0.75
 
 
 def test_large_sieve_q1_term_is_first_moment_squared(field):
