@@ -261,23 +261,17 @@ def phase_matrix(q: int) -> np.ndarray:
     return phases
 
 
-def character_values(q: int) -> np.ndarray:
-    """Row i = values of enumerate_characters(q)[i] at 0..q-1; shape (phi(q), q); not cached."""
+# a few entries: the checks read the matrices of small moduli again and
+# again (every exchange character and its primitive part); orthogonality
+# (q <= 120) and char-exchange (q <= 30) are the only readers
+@lru_cache(maxsize=8)
+def character_matrix(q: int) -> np.ndarray:
+    """Row i = values of enumerate_characters(q)[i] at 0..q-1; shape (phi(q), q); read-only."""
     group = unit_group(q)
     mat = _roots_of_unity(group.exponent)[phase_matrix(q)]
     mat[:, ~group.coprime] = 0
     mat.setflags(write=False)
     return mat
-
-
-# a few entries: the checks read the matrices of small moduli again and
-# again (every exchange character and its primitive part).  The large sieve
-# reads each q <= Q once, through `character_values`: even 8 of its
-# phi(q) x q matrices held 6-10 MiB at Q = 300 that nothing read again
-@lru_cache(maxsize=8)
-def character_matrix(q: int) -> np.ndarray:
-    """Cached `character_values(q)`: row i = values of enumerate_characters(q)[i] at 0..q-1."""
-    return character_values(q)
 
 
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:

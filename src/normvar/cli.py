@@ -10,19 +10,18 @@ be serialized.
 
 Check registry: each check is one function below that returns a `Check`
 record (name, passed, detail, and the value a variance report embeds)
-over one scope, stated in its docstring.  `checks` runs gq-oracle,
-class-index, orthogonality, outside-mass, large-sieve and char-exchange;
-`variance` runs orthogonality, large-sieve and char-exchange
-(`standard_checks`) for its `checks` block, then outside-mass and
-dyadic-partition on its own report.  `_finish` prints one PASS/FAIL
+over one scope, stated in its docstring.  `standard_checks` returns
+orthogonality, large-sieve and char-exchange: `variance` embeds them in
+its `checks` block, then runs outside-mass and dyadic-partition on its
+own report; `checks` runs gq-oracle and class-index before them and
+lists outside-mass after orthogonality.  `_finish` prints one PASS/FAIL
 line per check to stderr and picks the exit status for both.
 
 Every modulus that orthogonality, char-exchange and the `variance` large
 sieve read is at most `stats._HELD_BOUND`, so the event table holds the
 class weights t_q that the first passes of a command fold, and the
 checks after them read those: in `variance` the report's passes, in
-`checks` the large sieve's, which it therefore computes before
-orthogonality, outside-mass and char-exchange.
+`checks` the large sieve's, which `standard_checks` therefore runs first.
 """
 
 from __future__ import annotations
@@ -76,12 +75,16 @@ GQ_BYTES_PER_MEMBER = 48
 # bytes; 13,377 needs 4.2950e9).
 GQ_MAX_MODULUS = EVENT_MEMORY_BUDGET // GQ_BYTES_PER_RESIDUE
 GQ_MAX_BOUND = 13_376
+#: peak bytes per `dump-events` event, rounded up: its five sorted columns
+#: peaked at 559.5 MiB for the 5.76e6 events of Q up to 1e8 (102 each)
+_DUMP_BYTES_PER_EVENT = 128
+#: as for MAX_SIEVE_LIMIT, 1.26 x / log(x) * 128 <= 2^32 holds at 5.3e8, not at 5.4e8
+_DUMP_MAX_LIMIT = 530_000_000
 OUTSIDE_MASS_CAP = 50
 LARGE_SIEVE_CAP = 300
 #: large-sieve cap inside variance reports, within `stats._HELD_BOUND`, so
-#: that the t_q the variance loop folded serve it; the character matrices
-#: and sums of q = 101..300 would add about 0.15 s (against 0.02 s for
-#: q <= 100), some 7% of a run at x = 1e7, Q = 1000
+#: that the t_q the variance loop folded serve it: the t_q above that bound
+#: are not held, so a cap above 120 would make passes of its own
 VARIANCE_LARGE_SIEVE_CAP = 100
 #: key in the variance report's `checks` block of each standard check
 VARIANCE_BLOCK_KEYS = {
@@ -185,13 +188,10 @@ def dyadic_partition(report) -> Check:
     return Check("dyadic-partition", gap <= REL_TOL, f"relative gap {format_float(gap, 3)}")
 
 
-def standard_checks(field, x: int, Q: int) -> list[Check]:
-    """The identity checks whose values every variance report embeds."""
-    return [
-        orthogonality(field, x),
-        large_sieve(field, x, min(Q, VARIANCE_LARGE_SIEVE_CAP)),
-        char_exchange(field, x),
-    ]
+def standard_checks(field, x: int, cap: int) -> list[Check]:
+    """Orthogonality, large-sieve up to cap and char-exchange: the checks a variance report embeds."""
+    sieve = large_sieve(field, x, cap)  # first: its passes hold every t_q the other two read
+    return [orthogonality(field, x), sieve, char_exchange(field, x)]
 
 
 def _finish(results: list[Check]) -> int:
@@ -216,7 +216,7 @@ def _report_field(args):
 def cmd_variance(args) -> int:
     field = _report_field(args)
     report = variance(field, args.x, args.Q, M=args.M)
-    checks = standard_checks(field, args.x, args.Q)
+    checks = standard_checks(field, args.x, min(args.Q, VARIANCE_LARGE_SIEVE_CAP))
     if args.format == "json":
         config = run_config(field, x=args.x, Q=args.Q, M=args.M, format=args.format)
         block = {VARIANCE_BLOCK_KEYS[c.name]: c.value for c in checks}
@@ -234,16 +234,9 @@ def cmd_checks(args) -> int:
     # of `checks --field Q --x 1e6 --Q 300` by 1.4 MiB
     norm_events(field, args.x)
     oracle, index = gq_oracle(field, args.Q, args.B), class_index(field, args.Q)
-    # before the checks it serves: its passes hold every t_q they read
-    sieve = large_sieve(field, args.x, min(args.Q, LARGE_SIEVE_CAP))
-    results = [
-        oracle,
-        index,
-        orthogonality(field, args.x),
-        outside_mass(variance(field, args.x, min(args.Q, OUTSIDE_MASS_CAP, args.x))),
-        sieve,
-        char_exchange(field, args.x),
-    ]
+    ortho, sieve, exchange = standard_checks(field, args.x, min(args.Q, LARGE_SIEVE_CAP))
+    mass = outside_mass(variance(field, args.x, min(args.Q, OUTSIDE_MASS_CAP, args.x)))
+    results = [oracle, index, ortho, mass, sieve, exchange]
     if args.format == "json":
         config = run_config(field, x=args.x, Q=args.Q, B=args.B, format=args.format)
         _write(args.out, json_text(checks_payload(field, config, results)))
@@ -264,6 +257,8 @@ def cmd_gq(args) -> int:
 
 
 def cmd_dump_events(args) -> int:
+    if args.x > _DUMP_MAX_LIMIT:
+        raise ValueError(f"--x {args.x} exceeds the dump-events ceiling {_DUMP_MAX_LIMIT}")
     field = parse_field(args.field)
     _write(args.out, events_csv(event_columns(field, args.x)))
     return 0

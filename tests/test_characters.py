@@ -149,7 +149,7 @@ def test_primitive_counts_by_moebius():
 
 
 def test_conductor_table_matches_enumerated_and_built_characters():
-    # the large sieve reads its primitive rows off conductor_table(q) == q
+    # enumerate_characters reads each character's conductor and primitivity off it
     for q in range(1, 301):
         chars = nv.enumerate_characters(q)
         table = conductor_table(q)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -433,6 +434,28 @@ def test_x_above_ceiling_is_usage_error(capsys):
     code, out, err = run(capsys, "variance", "--field", "Q", "--x", x, "--Q", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "ceiling" in err
+
+
+def test_dump_events_x_above_its_ceiling_is_usage_error(capsys, monkeypatch):
+    def never(*_):
+        raise AssertionError("sieved for an x that cannot be dumped")
+
+    monkeypatch.setattr(cli, "event_columns", never)
+    x = str(cli._DUMP_MAX_LIMIT + 1)
+    code, out, err = run(capsys, "dump-events", "--field", "Q", "--x", x)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --x ") and "ceiling" in err
+
+
+def test_dump_events_ceiling_is_the_memory_budget():
+    # the events up to x number fewer than 1.26 x / log x; the ceiling is
+    # the largest multiple of 1e7 whose columns fit the budget at their peak
+    def peak_bytes(x):
+        return 1.26 * x / math.log(x) * cli._DUMP_BYTES_PER_EVENT
+
+    assert peak_bytes(cli._DUMP_MAX_LIMIT) <= cli.EVENT_MEMORY_BUDGET
+    assert peak_bytes(cli._DUMP_MAX_LIMIT + 10**7) > cli.EVENT_MEMORY_BUDGET
+    assert cli._DUMP_MAX_LIMIT < nv.MAX_SIEVE_LIMIT
 
 
 @pytest.mark.parametrize("spec", ["quad:1000000000000000003", "cyclo:3037000507"])

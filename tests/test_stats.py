@@ -469,14 +469,31 @@ def test_large_sieve_lhs_equals_direct_loop(label):
     # the folded tables of merged passes (84 for Q, 104 for cyclo:12)
     # against one direct table per q
     field, x, Q = nv.parse_field(label), 10**6, 300
-    terms = []
-    for q in range(1, Q + 1):
-        prim = [i for i, c in enumerate(nv.enumerate_characters(q)) if c.primitive]
-        if prim:
-            psi = (nv.character_matrix(q) @ nv.residue_buckets(field, x, q))[prim]
-            square = math.fsum((psi.real * psi.real + psi.imag * psi.imag).tolist())
-            terms.append(q / euler_phi(q) * square)
+    terms = [
+        q / euler_phi(q) * stats._primitive_square(q, nv.residue_buckets(field, x, q))
+        for q in range(1, Q + 1)
+        if q % 4 != 2
+    ]
     assert nv.large_sieve_check(field, x, Q).lhs == math.fsum(terms)
+
+
+@pytest.mark.parametrize("label", ["Q", "quad:-1", "quad:5", "cyclo:5", "cyclo:12"])
+def test_primitive_square_matches_the_character_route(label):
+    # the divisor sum against |sum chi(a) t[a]|^2 over the primitive rows of
+    # the character matrix, whose products round (worst seen 2.3e-13)
+    field, x = nv.parse_field(label), 10**6
+    for q in range(1, 301):
+        t = nv.residue_buckets(field, x, q)
+        square = stats._primitive_square(q, t)
+        prim = [i for i, c in enumerate(nv.enumerate_characters(q)) if c.primitive]
+        if q % 4 == 2:
+            assert prim == [] and square == 0.0, q
+            continue
+        psi = (nv.character_matrix(q) @ t)[prim]
+        direct = math.fsum((psi.real * psi.real + psi.imag * psi.imag).tolist())
+        assert square == pytest.approx(direct, rel=1e-12), q
+    s1 = nv.event_moment_sums(field, x)[0]
+    assert stats._primitive_square(1, nv.residue_buckets(field, x, 1)) == s1 * s1
 
 
 def test_event_table_serves_the_checks_from_the_variance_passes(field, monkeypatch):
