@@ -8,6 +8,11 @@ executed check passed, 1 on a check failure, 2 on bad usage or an I/O
 error such as an unwritable --out path, or a field whose report cannot
 be serialized.
 
+Every command reads the events from the one cached table
+(`sieve.norm_events`); `dump-events` derives its CSV columns from it a
+block at a time.  So one event ceiling serves them all:
+`sieve.MAX_SIEVE_LIMIT`, which `primes_up_to` checks before any work.
+
 Check registry: each check is one function below that returns a `Check`
 record (name, passed, detail, and the value a variance report embeds)
 over one scope, stated in its docstring.  `standard_checks` returns
@@ -46,7 +51,7 @@ from .reporting import (
     to_json_bytes,
     variance_payload,
 )
-from .sieve import EVENT_MEMORY_BUDGET, event_columns, norm_events
+from .sieve import EVENT_MEMORY_BUDGET, norm_events
 from .stats import (
     REL_TOL,
     large_sieve_check,
@@ -75,11 +80,6 @@ GQ_BYTES_PER_MEMBER = 48
 # bytes; 13,377 needs 4.2950e9).
 GQ_MAX_MODULUS = EVENT_MEMORY_BUDGET // GQ_BYTES_PER_RESIDUE
 GQ_MAX_BOUND = 13_376
-#: peak bytes per `dump-events` event, rounded up: its five sorted columns
-#: peaked at 559.5 MiB for the 5.76e6 events of Q up to 1e8 (102 each)
-_DUMP_BYTES_PER_EVENT = 128
-#: as for MAX_SIEVE_LIMIT, 1.26 x / log(x) * 128 <= 2^32 holds at 5.3e8, not at 5.4e8
-_DUMP_MAX_LIMIT = 530_000_000
 OUTSIDE_MASS_CAP = 50
 LARGE_SIEVE_CAP = 300
 #: large-sieve cap inside variance reports, within `stats._HELD_BOUND`, so
@@ -257,10 +257,8 @@ def cmd_gq(args) -> int:
 
 
 def cmd_dump_events(args) -> int:
-    if args.x > _DUMP_MAX_LIMIT:
-        raise ValueError(f"--x {args.x} exceeds the dump-events ceiling {_DUMP_MAX_LIMIT}")
     field = parse_field(args.field)
-    _write(args.out, events_csv(event_columns(field, args.x)))
+    _write(args.out, events_csv(field, args.x))
     return 0
 
 

@@ -8,6 +8,7 @@ version-sensitive.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import abc
 from functools import lru_cache
@@ -15,7 +16,7 @@ from typing import Iterator
 
 from .fields import FieldSpec
 from .galois import class_table_rows
-from .sieve import EventColumns
+from .sieve import EventColumns, event_column_blocks
 from .stats import VarianceReport
 
 FORMAT_VERSION = 1
@@ -159,16 +160,21 @@ def checks_csv(results) -> str:
 _CSV_ROWS = 1 << 14
 
 
-def events_csv(columns: EventColumns) -> Iterator[str]:
+def events_csv(field: FieldSpec, x: int) -> Iterator[str]:
     """The `dump-events` CSV in blocks of 2^14 rows, header first.
 
     A whole CSV costs about 330 bytes of Python strings per event, so it
-    is never held at once.
+    is never held at once; nor are its columns, which are derived from
+    the cached event table a block at a time.  The table is built, or a
+    bad x refused, before this returns.
     """
-    yield "n,p,k,dk,lam\n"
-    for lo in range(0, columns.n.size, _CSV_ROWS):
-        rows = zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in columns))
-        yield "".join(f"{n},{p},{k},{dk},{format_float(lam, 12)}\n" for n, p, k, dk, lam in rows)
+    blocks = event_column_blocks(field, x, _CSV_ROWS)
+    return itertools.chain(["n,p,k,dk,lam\n"], map(_event_rows, blocks))
+
+
+def _event_rows(columns: EventColumns) -> str:
+    rows = zip(*(c.tolist() for c in columns))
+    return "".join(f"{n},{p},{k},{dk},{format_float(lam, 12)}\n" for n, p, k, dk, lam in rows)
 
 
 def per_q_csv(report: VarianceReport) -> Iterator[str]:

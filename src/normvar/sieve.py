@@ -21,9 +21,12 @@ cache of event data: its table holds n as uint32, the weights split
 into slices whose sums are exact in any order (`weight_slices`, two
 float64 slices for every table measured: 20 bytes per event),
 (S1, S2), and the class sums of the small moduli that `stats` folds out
-of them (`held`).  `event_columns` sorts all five columns (n, p, k, dk, lam)
-from the same blocks without caching them, for the `dump-events` CSV and
-the tests.
+of them (`held`).  `event_columns` derives all five columns (n, p, k,
+dk, lam) from that table, with no second build: a row is a prime n = p
+with k = 1 and dk = degree unless it is one of the O(sqrt x) powers p^k,
+k >= 2, or a ramified p, which one `_prime_power_rows` search finds.
+`event_column_blocks` derives them a block at a time, for the
+`dump-events` CSV.
 """
 
 from __future__ import annotations
@@ -42,9 +45,13 @@ from .fields import FieldSpec, residue_degrees, split_type
 EVENT_MEMORY_BUDGET = 4 << 30
 #: peak bytes per event of a variance run, rounded up: `variance --x 1e8
 #: --Q 1` for Q peaked at 340 MiB for the 5.76e6 events (62 bytes each,
-#: with the interpreter) while n was int64, and at 273.8 MiB (50 bytes)
-#: with n as uint32 (from a launcher's `wait4`).  Sorting the blocks sets
-#: that peak; the table it leaves holds 20 bytes per event
+#: with the interpreter) while n was int64, and at 273.6 MiB (50 bytes)
+#: with n as uint32 (from a launcher's `wait4`; building the table alone
+#: peaked at 273.1 MiB).  The first event block sets that peak, holding
+#: 242.8 MiB of arrays (`tracemalloc`): the primes (122.8 MiB once sieved),
+#: their residue degrees (162.6 MiB), the primes of one degree, their lam
+#: and w = dk * lam, and their norms as uint32.  The sort holds 220.9 MiB,
+#: and the table left holds 20 bytes per event
 PEAK_BYTES_PER_EVENT = 64
 # The events up to x are at most the prime powers up to x, fewer than
 # 1.26 x / log x for x > 2477 (pi(x) < 1.25506 x / log x by Rosser and
@@ -148,11 +155,7 @@ class EventColumns(NamedTuple):
 
 
 def _event_arrays(x: int, primes: np.ndarray, f: int, g: int) -> Iterator[tuple]:
-    """Blocks (n, p, k, dk, lam, weight) for ascending `primes` and every k = f*j <= log_p(x).
-
-    k and dk = g are scalars per block; weight = g * lam is the product
-    the statistics read.
-    """
+    """Blocks (n, w) for ascending `primes` and every k = f*j <= log_p(x): n = p^k, w = g * f * log p."""
     j = 1
     while True:
         k = f * j
@@ -162,12 +165,12 @@ def _event_arrays(x: int, primes: np.ndarray, f: int, g: int) -> Iterator[tuple]
         sel = primes[: np.searchsorted(primes, bound, side="right")]
         if sel.size:
             lam = f * np.log(sel.astype(np.float64))
-            yield (sel**k if k > 1 else sel), sel, k, g, lam, g * lam
+            yield (sel**k if k > 1 else sel), g * lam
         j += 1
 
 
 def _event_parts(field: FieldSpec, x: int) -> Iterator[tuple]:
-    """Event blocks per residue degree, unsorted: the one event generator."""
+    """Event blocks (n, w) per residue degree, unsorted: the one event generator."""
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     primes = primes_up_to(x)
@@ -180,13 +183,6 @@ def _event_parts(field: FieldSpec, x: int) -> Iterator[tuple]:
         if p <= x:
             s = split_type(field, p)
             yield from _event_arrays(x, np.array([p], dtype=np.int64), s.f, s.g)
-
-
-def _sorted_by_n(columns: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Concatenate each column's blocks and order every column by the first, n."""
-    n = np.concatenate(columns[0])
-    order = np.argsort(n, kind="stable")
-    return [n[order]] + [np.concatenate(blocks)[order] for blocks in columns[1:]]
 
 
 #: a sum of multiples of a power of two u is exact while it stays below 2^53 u
@@ -233,21 +229,25 @@ def weight_slices(w: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _sorted_events(field: FieldSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
     """n (uint32) and w = dk * lam of every event up to x, sorted by n."""
-    # the block's other columns die with it, so only n and weight are held
     n_blocks, w_blocks = [np.empty(0, dtype=np.uint32)], [np.empty(0)]
-    for n, _, _, _, _, w in _event_parts(field, x):
+    for n, w in _event_parts(field, x):
         n_blocks.append(n.astype(np.uint32))
         w_blocks.append(w)
     # _event_parts has checked x <= MAX_SIEVE_LIMIT, so every n <= x fits
     assert x <= MAX_SIEVE_LIMIT < 2**32
-    n, w = _sorted_by_n([n_blocks, w_blocks])
-    return n, w
+    n = np.concatenate(n_blocks)
+    order = np.argsort(n, kind="stable")
+    # the unsorted n goes before w is sorted: held through it, the sort of
+    # x = 1e8 held 242.9 MiB of arrays, as much as the first event block
+    n = n[order]
+    return n, np.concatenate(w_blocks)[order]
 
 
 @lru_cache(maxsize=16)
 def _event_table(field: FieldSpec, x: int) -> NormEventTable:
-    # the unsorted blocks are released with _sorted_events' frame before
-    # slicing: held through it, they raised the peak of x = 1e7 by 5 MiB
+    # the unsorted columns are released with _sorted_events' frame before
+    # slicing: the unsorted blocks, held through it, raised the peak of
+    # x = 1e7 by 5 MiB
     n, w = _sorted_events(field, x)
     slices = weight_slices(w)
     # each slice's sum is exact, so S1 is fsum(w); fsum is exact too, so
@@ -274,14 +274,78 @@ def norm_events(field: FieldSpec, x: int) -> NormEventTable:
     return _event_table(field, int(x))
 
 
+def _prime_power_rows(n: np.ndarray, primes: list[int], x: int) -> tuple[np.ndarray, ...]:
+    """(index into `primes`, k, row into the sorted, distinct norms n) of each p^k <= x in n.
+
+    Ascending in (p, k).
+    """
+    tags, exponents, powers = [], [], []
+    for i, p in enumerate(primes):
+        power, k = p, 1
+        while power <= x:
+            tags.append(i)
+            exponents.append(k)
+            powers.append(power)
+            power *= p
+            k += 1
+    tag, k = np.array(tags, dtype=np.intp), np.array(exponents, dtype=np.int64)
+    # in n's dtype, so searchsorted does not convert n
+    power = np.array(powers, dtype=n.dtype)
+    rows = np.searchsorted(n, power)
+    found = rows < n.size
+    found[found] = n[rows[found]] == power[found]
+    return tag[found], k[found], rows[found]
+
+
+def _odd_rows(field: FieldSpec, n: np.ndarray, x: int) -> tuple[np.ndarray, EventColumns]:
+    """The rows of the sorted norms n at a p^k with k >= 2 or at a ramified p, and their columns.
+
+    Every other row is an event n = p at an unramified p, whose residue
+    degree f divides k = 1: so f = 1, dk = degree and lam = log n.
+    """
+    ramified = [p for p in factorize(field.conductor) if p <= x]
+    primes = sorted(set(primes_up_to(math.isqrt(x)).tolist()).union(ramified))
+    tag, k, rows = _prime_power_rows(n, primes, x)
+    order = np.argsort(rows)
+    rows, k, p = rows[order], k[order], np.array(primes, dtype=np.int64)[tag[order]]
+    # f is 0 exactly at the ramified primes, whose (f, g) split_type gives
+    f = residue_degrees(field)[p % field.conductor]
+    g = field.degree // np.maximum(f, 1)
+    for i in np.flatnonzero(f == 0).tolist():
+        s = split_type(field, int(p[i]))
+        f[i], g[i] = s.f, s.g
+    # lam = f * log p, the expression of _event_arrays, so the bits agree
+    lam = f * np.log(p.astype(np.float64))
+    return rows, EventColumns(n[rows].astype(np.int64), p, k, g, lam)
+
+
+def _columns(degree: int, n: np.ndarray, lo: int, odd: tuple) -> EventColumns:
+    """The five columns of the table rows lo, lo + 1, ... whose norms are n."""
+    rows, values = odd
+    at = slice(*np.searchsorted(rows, (lo, lo + n.size)).tolist())
+    n = n.astype(np.int64)
+    lam = np.log(n.astype(np.float64))
+    block = EventColumns(n, n.copy(), np.ones_like(n), np.full_like(n, degree), lam)
+    for column, odd_values in zip(block[1:], values[1:]):
+        column[rows[at] - lo] = odd_values[at]
+    return block
+
+
 def event_columns(field: FieldSpec, x: int) -> EventColumns:
-    """All five event columns (n, p, k, dk, lam) up to x, sorted by n; not cached."""
-    columns = [[np.empty(0, dtype=np.int64)] for _ in range(4)] + [[np.empty(0)]]
-    for n, p, k, g, lam, _ in _event_parts(field, int(x)):
-        block = (n, p, np.full(n.size, k, dtype=np.int64), np.full(n.size, g, dtype=np.int64), lam)
-        for column, values in zip(columns, block):
-            column.append(values)
-    return EventColumns(*_sorted_by_n(columns))
+    """All five event columns (n, p, k, dk, lam) up to x, sorted by n, read from the cached table."""
+    table = norm_events(field, x)
+    return _columns(field.degree, table.n, 0, _odd_rows(field, table.n, int(x)))
+
+
+def event_column_blocks(field: FieldSpec, x: int, size: int) -> Iterator[EventColumns]:
+    """The rows of `event_columns` in blocks of `size`, each derived only when it is read.
+
+    The cached table is built, or a bad x refused, before the first block.
+    """
+    table = norm_events(field, x)
+    odd = _odd_rows(field, table.n, int(x))
+    starts = range(0, len(table), size)
+    return (_columns(field.degree, table.n[lo : lo + size], lo, odd) for lo in starts)
 
 
 def event_moment_sums(field: FieldSpec, x: int) -> tuple[float, float]:

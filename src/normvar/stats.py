@@ -57,7 +57,7 @@ from .arith import divisors, euler_phi, factorize, moebius
 from .characters import DirichletCharacter, character_matrix, primitive_part, unit_mask
 from .fields import FieldSpec, kernel_image
 from .galois import norm_class_group, residue_masks
-from .sieve import NormEventTable, event_moment_sums, norm_events, primes_up_to
+from .sieve import NormEventTable, _prime_power_rows, event_moment_sums, norm_events, primes_up_to
 
 #: relative agreement demanded of dual-route identities
 REL_TOL = 1e-9
@@ -475,24 +475,6 @@ def _divisors_between(D: int, K: int, Q: int) -> np.ndarray:
     return q[q <= Q]
 
 
-def _prime_power_rows(n: np.ndarray, primes: list[int], x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index into `primes`, row into the sorted, distinct norms n) of each power p^k <= x in n, ascending in (p, k)."""
-    tags, powers = [], []
-    for i, p in enumerate(primes):
-        power = p
-        while power <= x:
-            tags.append(i)
-            powers.append(power)
-            power *= p
-    tag = np.array(tags, dtype=np.intp)
-    # in n's dtype, so searchsorted does not convert n
-    power = np.array(powers, dtype=n.dtype)
-    rows = np.searchsorted(n, power)
-    found = rows < n.size
-    found[found] = n[rows[found]] == power[found]
-    return tag[found], rows[found]
-
-
 def _prime_power_classes(ev: NormEventTable, x: int, K: int, Q: int):
     """phi(q), and the mass and squared class mass of the classes that are no units mod q, for K < q <= Q.
 
@@ -507,7 +489,7 @@ def _prime_power_classes(ev: NormEventTable, x: int, K: int, Q: int):
     phi = np.arange(K + 1, Q + 1)
     mass, squares = np.zeros(Q - K), np.zeros(Q - K)
     primes = primes_up_to(Q)
-    tag, rows = _prime_power_rows(ev.n, primes.tolist(), x)
+    tag, _, rows = _prime_power_rows(ev.n, primes.tolist(), x)
     w = ev.weights(rows)
     p_mass = np.bincount(tag, weights=w, minlength=primes.size)
     p_squares = np.bincount(tag, weights=w * w, minlength=primes.size)
@@ -752,7 +734,7 @@ def primitive_exchange_diff(field: FieldSpec, x: int, chi: DirichletCharacter) -
     direct = character_sum(field, x, chi) - character_sum(field, x, star)
     ev = norm_events(field, x)
     culprits = [p for p in factorize(chi.q) if chi.conductor % p != 0]
-    rows = np.sort(_prime_power_rows(ev.n, culprits, x)[1])
+    rows = np.sort(_prime_power_rows(ev.n, culprits, x)[2])
     explicit = 0j
     if rows.size:
         vals = star.value_table()[ev.n[rows] % chi.conductor]

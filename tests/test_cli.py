@@ -1,5 +1,4 @@
 import json
-import math
 import time
 
 import numpy as np
@@ -40,17 +39,33 @@ def test_dump_events_golden(capsys):
 
 
 def test_dump_events_blocks_join_to_one_csv(capsys):
-    # about 18,000 events: the CSV is written in more than one block
-    field = nv.rational_field()
-    columns = nv.event_columns(field, 200_000)
-    assert columns.n.size > reporting._CSV_ROWS
-    rows = [
-        f"{n},{p},{k},{dk},{reporting.format_float(lam, 12)}"
-        for n, p, k, dk, lam in zip(*(c.tolist() for c in columns))
-    ]
-    code, out, _ = run(capsys, "dump-events", "--field", "Q", "--x", "200000")
+    # about 18,000 events each: the CSV is written in two blocks; for
+    # cyclo:15 the ramified 3 (f = 4) and 5 (f = 2) and the powers p^k
+    # with k >= 2 fall on both sides of the block edge
+    for label, x in [("Q", 200_000), ("cyclo:15", 2_000_000)]:
+        columns = nv.event_columns(nv.parse_field(label), x)
+        assert reporting._CSV_ROWS < columns.n.size <= 2 * reporting._CSV_ROWS
+        rows = [
+            f"{n},{p},{k},{dk},{reporting.format_float(lam, 12)}"
+            for n, p, k, dk, lam in zip(*(c.tolist() for c in columns))
+        ]
+        code, out, _ = run(capsys, "dump-events", "--field", label, "--x", str(x))
+        assert code == 0
+        assert out == "\n".join(["n,p,k,dk,lam"] + rows) + "\n"
+
+
+def test_dump_events_reads_the_cached_table(monkeypatch, capsys):
+    field = nv.parse_field("cyclo:12")
+    nv.norm_events(field, 50_000)
+    code, before, _ = run(capsys, "dump-events", "--field", "cyclo:12", "--x", "50000")
     assert code == 0
-    assert out == "\n".join(["n,p,k,dk,lam"] + rows) + "\n"
+
+    def never(*_):
+        raise AssertionError("built the events a second time")
+
+    monkeypatch.setattr(sieve, "_event_parts", never)
+    code, after, _ = run(capsys, "dump-events", "--field", "cyclo:12", "--x", "50000")
+    assert code == 0 and after == before
 
 
 def test_dump_events_to_file(tmp_path, capsys):
@@ -429,33 +444,14 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_x_above_ceiling_is_usage_error(capsys):
+@pytest.mark.parametrize(
+    "command", [["variance", "--Q", "1"], ["dump-events"]], ids=["variance", "dump-events"]
+)
+def test_x_above_ceiling_is_usage_error(capsys, command):
     x = str(nv.MAX_SIEVE_LIMIT + 1)
-    code, out, err = run(capsys, "variance", "--field", "Q", "--x", x, "--Q", "1")
+    code, out, err = run(capsys, command[0], "--field", "Q", "--x", x, *command[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "ceiling" in err
-
-
-def test_dump_events_x_above_its_ceiling_is_usage_error(capsys, monkeypatch):
-    def never(*_):
-        raise AssertionError("sieved for an x that cannot be dumped")
-
-    monkeypatch.setattr(cli, "event_columns", never)
-    x = str(cli._DUMP_MAX_LIMIT + 1)
-    code, out, err = run(capsys, "dump-events", "--field", "Q", "--x", x)
-    assert code == 2 and out == ""
-    assert err.startswith("error: --x ") and "ceiling" in err
-
-
-def test_dump_events_ceiling_is_the_memory_budget():
-    # the events up to x number fewer than 1.26 x / log x; the ceiling is
-    # the largest multiple of 1e7 whose columns fit the budget at their peak
-    def peak_bytes(x):
-        return 1.26 * x / math.log(x) * cli._DUMP_BYTES_PER_EVENT
-
-    assert peak_bytes(cli._DUMP_MAX_LIMIT) <= cli.EVENT_MEMORY_BUDGET
-    assert peak_bytes(cli._DUMP_MAX_LIMIT + 10**7) > cli.EVENT_MEMORY_BUDGET
-    assert cli._DUMP_MAX_LIMIT < nv.MAX_SIEVE_LIMIT
 
 
 @pytest.mark.parametrize("spec", ["quad:1000000000000000003", "cyclo:3037000507"])
