@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 from collections import abc
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .fields import FieldSpec
 from .galois import class_table_rows
@@ -48,14 +49,48 @@ def _key(k: str) -> str:
 #: what `_scalar` writes; everything else is an object or an array
 _SCALARS = (str, int, float, type(None))
 
+#: rows of a `Rows` array formatted into one piece
+_ROWS_PIECE = 256
+
+
+@dataclass(frozen=True)
+class Rows:
+    """A JSON array of flat objects with the same keys, each written from one template.
+
+    `specs` holds a format spec per key: "d" for an int, ".15g" for a
+    float as `format_float` writes it.  `rows` yields a tuple of values
+    per object and is read once.  The layout is that of `_pieces`, at
+    one `str.format` per row instead of a dispatch per value.
+    """
+
+    keys: tuple[str, ...]
+    specs: tuple[str, ...]
+    rows: Iterable[tuple]
+
+    def pieces(self, indent: int) -> Iterator[str]:
+        pad = "  " * indent
+        fields = ",\n".join(
+            f"{pad}    {_key(k).replace('{', '{{').replace('}', '}}')}{{:{spec}}}"
+            for k, spec in zip(self.keys, self.specs)
+        )
+        row = f"{pad}  {{{{\n{fields}\n{pad}  }}}}".format
+        rows, sep = iter(self.rows), "[\n"
+        while batch := list(itertools.islice(rows, _ROWS_PIECE)):
+            yield sep + ",\n".join(row(*values) for values in batch)
+            sep = ",\n"
+        yield "[]" if sep == "[\n" else f"\n{pad}]"
+
 
 def _pieces(obj, indent: int) -> Iterator[str]:
     """The JSON text of obj in pieces, laid out as `json.dumps(obj, indent=2)`.
 
-    Arrays may be given as lists, tuples or iterators; an iterator is
-    read once, a piece per item, so rows given as a generator are
-    formatted as they are written.
+    Arrays may be given as lists, tuples, iterators or `Rows`; an
+    iterator is read once, a piece per item, so rows given as a generator
+    are formatted as they are written.
     """
+    if isinstance(obj, Rows):
+        yield from obj.pieces(indent)
+        return
     if isinstance(obj, dict):
         members, brackets = ((_key(k), v) for k, v in obj.items()), "{}"
     elif isinstance(obj, (list, tuple, abc.Iterator)):
@@ -67,7 +102,7 @@ def _pieces(obj, indent: int) -> Iterator[str]:
     for prefix, value in members:
         if isinstance(value, _SCALARS):
             yield f"{sep}{pad}  {prefix}{_scalar(value)}"
-        elif isinstance(value, abc.Iterator):
+        elif isinstance(value, (abc.Iterator, Rows)):
             yield f"{sep}{pad}  {prefix}"
             yield from _pieces(value, indent + 1)
         else:  # held whole already, so written as one piece
@@ -113,7 +148,7 @@ def run_config(field: FieldSpec, **kwargs) -> dict:
 
 
 def variance_payload(report: VarianceReport, config: dict, checks: dict) -> dict:
-    """The variance report; its `per_q` rows are a generator, to be written once by `json_text`."""
+    """The variance report; its `per_q` rows are `Rows` over a generator, to be written once by `json_text`."""
     return {
         "format_version": FORMAT_VERSION,
         "config": config,
@@ -126,9 +161,10 @@ def variance_payload(report: VarianceReport, config: dict, checks: dict) -> dict
         "ratio_grh": report.ratio_grh,
         "outside_mass": report.outside_mass,
         "range_condition_satisfied": report.range_condition_satisfied,
-        "per_q": (
-            {"q": r.q, "phi_K": r.admissible, "contribution": r.contribution}
-            for r in report.per_q
+        "per_q": Rows(
+            ("q", "phi_K", "contribution"),
+            ("d", "d", ".15g"),
+            ((r.q, r.admissible, r.contribution) for r in report.per_q),
         ),
         "dyadic": [
             {"U_lo": b.u_lo, "U_hi": b.u_hi, "contribution": b.contribution}

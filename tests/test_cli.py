@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +240,45 @@ def test_json_text_streams_json_dumps_layout(monkeypatch):
     assert reporting.to_json_bytes("s") == b'"s"\n'
     with pytest.raises(TypeError):
         reporting.to_json_bytes({"v": object()})
+
+
+def test_rows_are_laid_out_as_json_dumps(monkeypatch):
+    # pieces of 7 rows, so the 59 rows take several, the last one short
+    monkeypatch.setattr(reporting, "_ROWS_PIECE", 7)
+    rows = [{"q": q, "phi_K": q - 1, "contribution": (2 * q + 1) / 16} for q in range(1, 60)]
+    keys = ("q", "phi_K", "contribution")
+
+    def table(items):
+        return reporting.Rows(keys, ("d", "d", ".15g"), (tuple(r.values()) for r in items))
+
+    obj = {"a": [1 / 3], "rows": rows, "none": [], "f": {"rows": rows[:1]}}
+    streamed = {**obj, "rows": table(rows), "none": table([]), "f": {"rows": table(rows[:1])}}
+    assert reporting.to_json_bytes(streamed) == reporting.to_json_bytes(obj)
+    assert reporting.to_json_bytes(table(rows)) == (json.dumps(rows, indent=2) + "\n").encode("ascii")
+    # a float at 15 significant digits, as format_float writes it
+    one = reporting.Rows(("v",), (".15g",), [(1 / 7,)])
+    assert reporting.to_json_bytes(one) == b'[\n  {\n    "v": 0.142857142857143\n  }\n]\n'
+
+
+def test_runs_below_sqrt_x_leave_the_route_unloaded(tmp_path):
+    # compiling `normvar.correlation` costs about 0.6 MiB of RSS, so checks,
+    # and a variance whose q all stay at most isqrt(x), never load it
+    script = """
+import sys
+from normvar import cli
+for argv in (["checks", "--field", "Q", "--x", "10000", "--Q", "30"],
+             ["variance", "--field", "Q", "--x", "10000", "--Q", "100"]):
+    assert cli.main([*argv, "--out", sys.argv[1]]) == 0
+assert "normvar.correlation" not in sys.modules
+assert cli.main(["variance", "--field", "Q", "--x", "10000", "--Q", "101", "--out", sys.argv[1]]) == 0
+assert "normvar.correlation" in sys.modules
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-c", script, str(tmp_path / "report.json")]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_variance_reruns_are_byte_identical(tmp_path, capsys):

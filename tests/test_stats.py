@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import normvar as nv
-from normvar import sieve, stats
+from normvar import correlation, sieve, stats
 from normvar.arith import euler_phi
 from normvar.fields import kernel_image
 from normvar.sieve import weight_slices
@@ -217,11 +217,17 @@ def test_variance_rows_are_bit_identical_to_reference_loop(label, x, Q):
     assert report.outside_mass == outside
 
 
+def _direct_bound(field, x, Q):
+    """`correlation._direct_bound` for the events of field up to x, as `variance` asks it."""
+    ev = nv.norm_events(field, x)
+    M, dense, sparse = correlation._class_split(field, ev)
+    return correlation._direct_bound(x, Q, len(ev), len(ev.slices), (M, np.count_nonzero(dense), sparse.size))
+
+
 def _assert_routed_rows_match_direct(field, x, Q):
     """`variance` routes every q > isqrt(x); its rows match the all-direct report."""
     K = math.isqrt(x)
-    ev = nv.norm_events(field, x)
-    assert stats._direct_bound(x, Q, len(ev), len(ev.slices)) == K
+    assert _direct_bound(field, x, Q) == K
     routed = nv.variance(field, x, Q)
     direct = stats._variance(field, x, Q, 1, Q)
     # the direct passes still serve q <= K, bit for bit
@@ -240,31 +246,41 @@ def test_correlation_rows_match_direct_rows(label, x, Q):
     _assert_routed_rows_match_direct(nv.parse_field(label), x, Q)
 
 
-@pytest.mark.parametrize("label", ROW_LABELS)
+@pytest.mark.parametrize("label", ROW_LABELS + ("quad:-5", "cyclo:7"))
 def test_correlation_rows_match_direct_rows_across_small_chunks(label, monkeypatch):
-    # chunks of 64 lags in bands of 3 and spans of 200: lag blocks straddle
-    # chunks, bands and spans
-    monkeypatch.setattr(stats, "_CHUNK", 64)
-    monkeypatch.setattr(stats, "_BAND", 3)
-    monkeypatch.setattr(stats, "_SPAN", 200)
-    x = 10**4
-    assert stats._chunking(x) == (64, 157)
-    _assert_routed_rows_match_direct(nv.parse_field(label), x, 2000)
+    # chunks of 64 entries of each class's weights in bands of 3, and spans
+    # of 200 entries: blocks straddle chunks, bands and spans.  quad:-5 has
+    # four dense classes mod 20; cyclo:7 has M = 14, so a block of 64
+    # entries covers 896 lags
+    monkeypatch.setattr(correlation, "_CHUNK", 64)
+    monkeypatch.setattr(correlation, "_BAND", 3)
+    monkeypatch.setattr(correlation, "_SPAN", 200)
+    field, x = nv.parse_field(label), 10**4
+    M = correlation._class_split(field, nv.norm_events(field, x))[0]
+    L, chunks = correlation._chunking(x // M)
+    assert L == 64 and chunks >= 4
+    _assert_routed_rows_match_direct(field, x, 2000)
 
 
-def test_correlation_route_measures_outside_mass(monkeypatch):
-    # quad:-1 has no event n = 3 (mod 4); add two, 7 and 419, so that the
-    # classes 7 and 419 mod q are units outside the image for 4 | q, and
-    # share the class mod 412 = 419 - 7
-    field = nv.parse_field("quad:-1")
-    x = 10**4
-    ev = nv.norm_events(field, x)
+def _with_strays(x):
+    """quad:-1's events up to x and two more, 7 and 419, where quad:-1 has no event n = 3 (mod 4)."""
+    ev = nv.norm_events(nv.parse_field("quad:-1"), x)
     n = np.concatenate([ev.n, np.array([7, 419], dtype=ev.n.dtype)])
     w = np.concatenate([ev.weights(), [1.25, 0.75]])
     order = np.argsort(n)
     n, w = n[order], w[order]
-    table = nv.NormEventTable(n, weight_slices(w), (math.fsum(w), math.fsum(w * w)))
-    monkeypatch.setattr(stats, "norm_events", lambda f, bound: table)
+    return nv.NormEventTable(n, weight_slices(w), (math.fsum(w), math.fsum(w * w)))
+
+
+def test_correlation_route_measures_outside_mass(monkeypatch):
+    # the classes 7 and 419 mod q are units outside the image for 4 | q,
+    # and share the class mod 412 = 419 - 7
+    field = nv.parse_field("quad:-1")
+    x = 10**4
+    table = _with_strays(x)
+    n, w = table.n, table.weights()
+    for module in (stats, correlation):
+        monkeypatch.setattr(module, "norm_events", lambda f, bound: table)
     routed, direct = _assert_routed_rows_match_direct(field, x, 1000)
     assert routed.outside_mass > 0.0
     ref = math.fsum(
@@ -276,12 +292,45 @@ def test_correlation_route_measures_outside_mass(monkeypatch):
     assert nv.rel_gap(routed.outside_mass, ref) <= 1e-12
 
 
-def test_correlation_route_matches_naive_oracle_at_Q_equal_x(field):
+def _naive_lag_sums(n, w, K, Q):
+    """sum over the pairs n < n' with q | n' - n of w_n * w_n', for K < q <= Q, by `math.fsum` per q."""
+    by_lag = {}
+    for a in range(len(n)):
+        for b in range(a + 1, len(n)):
+            by_lag.setdefault(n[b] - n[a], []).append(w[a] * w[b])
+    terms = [[] for _ in range(Q - K)]
+    for h, products in by_lag.items():
+        for q in range(K + 1, min(h, Q) + 1):
+            if h % q == 0:
+                terms[q - K - 1].extend(products)
+    return [math.fsum(t) for t in terms]
+
+
+@pytest.mark.parametrize("label", ["Q", "quad:-1", "quad:5", "quad:-5", "cyclo:12", "strays"])
+def test_lag_sums_match_the_naive_pair_sums(label):
+    # Q has one dense class mod 2, quad:-1 one mod 4, quad:5 two mod 10,
+    # quad:-5 four mod 20 and cyclo:12 one mod 12; "strays" is quad:-1
+    # with the events 7 and 419 of test_correlation_route_measures_outside_mass
+    x = 3000
+    field = nv.parse_field("quad:-1" if label == "strays" else label)
+    ev = _with_strays(x) if label == "strays" else nv.norm_events(field, x)
+    K, Q = math.isqrt(x), x
+    S = correlation._lag_sums(field, ev, x, K, Q)
+    ref = _naive_lag_sums(ev.n.astype(np.int64).tolist(), ev.weights().tolist(), K, Q)
+    # the transforms round at the scale of R(0), the sum of the squares
+    R0 = ev.moments[1]
+    for q, (s, r) in enumerate(zip(S.tolist(), ref), start=K + 1):
+        assert nv.rel_gap(s, r, R0) <= 1e-12, q
+    # a third of the q or more meet a pair, so the gaps test real sums
+    assert sum(r > 0 for r in ref) > (Q - K) // 3
+
+
+def test_correlation_route_matches_naive_oracle_at_Q_equal_x(oracle_field):
     # the paper's range x (log x)^-M <= Q <= x, at its top: Q = x
+    field = oracle_field
     x = Q = 300
     report = nv.variance(field, x, Q)
-    ev = nv.norm_events(field, x)
-    assert stats._direct_bound(x, Q, len(ev), len(ev.slices)) == math.isqrt(x)
+    assert _direct_bound(field, x, Q) == math.isqrt(x)
     ref_total, ref_outside = naive_variance(field.variant, field.parameter, x, Q)
     assert nv.rel_gap(report.total, ref_total) <= 1e-9
     assert report.outside_mass == 0.0 and ref_outside == 0.0
@@ -290,36 +339,39 @@ def test_correlation_route_matches_naive_oracle_at_Q_equal_x(field):
 @pytest.mark.parametrize("x", [10**4, 10**4 + 200, 99 * 99 - 1])
 def test_routing_starts_above_isqrt_x(x):
     field = nv.rational_field()
-    ev = nv.norm_events(field, x)
     K = math.isqrt(x)
     # up to isqrt(x) every q is direct; above it the route takes over
-    assert stats._direct_bound(x, K, len(ev), len(ev.slices)) == K
-    assert stats._direct_bound(x, x, len(ev), len(ev.slices)) == K
+    assert _direct_bound(field, x, K) == K
+    assert _direct_bound(field, x, x) == K
     report = nv.variance(field, x, 3 * K)
     assert report.per_q[:K] == stats._variance(field, x, K, 1, K).per_q
 
 
 def test_routing_keeps_direct_passes_where_the_correlation_costs_more():
-    # Q, x = 1e7 (665,134 events) and x = 1e8 (5,762,859), Q just above
-    # sqrt(x): the correlation's transforms grow with x^2, the few passes
-    # it would replace with x / log x
-    assert stats._direct_bound(10**7, 4000, 665_134, 2) == 4000
-    assert stats._direct_bound(10**8, 10_001, 5_762_859, 2) == 10_001
-    # below 2^15 passes merge (`_pass_count`); at x = 1e7 the whole variance
-    # took 34.5 s direct and 48 s routed at Q = 12,000, 54 s and 51 s at
-    # 16,000, 77 s and 48 s at 20,000
-    assert stats._direct_bound(10**7, 12_000, 665_134, 2) == 12_000
-    assert stats._direct_bound(10**7, 16_000, 665_134, 2) == 16_000
-    assert stats._direct_bound(10**7, 20_000, 665_134, 2) == 3162
+    # Q, x = 1e7 (665,134 events, 23 of them powers of 2) and x = 1e8
+    # (5,762,859 events, 26 powers of 2), Q just above sqrt(x): the
+    # correlation's transforms grow with x^2, the few passes it would
+    # replace with x / log x
+    split_7, split_8 = (2, 1, 23), (2, 1, 26)
+    assert correlation._direct_bound(10**7, 4000, 665_134, 2, split_7) == 4000
+    assert correlation._direct_bound(10**8, 10_001, 5_762_859, 2, split_8) == 10_001
+    # at x = 1e7 `_variance` took 7.7 s direct and 16.8 s routed at
+    # Q = 4000, 18.6 s and 17.1 s at 8000, 71.1 s and 18.1 s at 20,000
+    assert correlation._direct_bound(10**7, 8000, 665_134, 2, split_7) == 3162
+    assert correlation._direct_bound(10**7, 20_000, 665_134, 2, split_7) == 3162
     # at x = 1e7 and Q = 1e5 the passes for q in (3162, 1e5] cost more
-    assert stats._direct_bound(10**7, 10**5, 665_134, 2) == 3162
+    assert correlation._direct_bound(10**7, 10**5, 665_134, 2, split_7) == 3162
+    # quad:-1 (one dense class mod 4, 332,701 events) routes from a lower
+    # Q than Q itself: its route covers x / 4 instead of x / 2; at
+    # Q = 6000 `_variance` took 7.5 s direct and 7.1 s routed
+    assert correlation._direct_bound(10**7, 6000, 332_701, 2, (4, 1, 23)) == 3162
 
 
 def test_divisors_between_lists_every_divisor_in_range():
     for D in (1, 2, 360, 412, 9973, 10**4):
         for K, Q in ((100, 10**4), (100, 200), (math.isqrt(D), D)):
             expected = [q for q in range(K + 1, Q + 1) if D % q == 0]
-            assert sorted(stats._divisors_between(D, K, Q).tolist()) == expected
+            assert sorted(correlation._divisors_between(D, K, Q).tolist()) == expected
 
 
 def _grouped_by_multiple(Q):
