@@ -11,6 +11,8 @@ x * Q * log x once Q is within a power-of-log window of x.
 
 import math
 
+import numpy as np
+
 from normvar import orthogonality_check, parse_field, variance
 
 field = parse_field("quad:-1")
@@ -26,10 +28,12 @@ print(f"mass outside admissible classes: {report.outside_mass}")
 
 # Which moduli carry the variance?  Large q dominate: small q have few
 # classes and benefit from massive cancellation.
-leaders = sorted(report.per_q, key=lambda r: r.contribution, reverse=True)[:5]
+# per_q[q - 1] is the contribution of q and admissible[q - 1] its class count.
+leaders = np.argsort(-report.per_q, kind="stable")[:5]
 print("\ntop contributing moduli")
-for r in leaders:
-    print(f"  q = {r.q:<4} classes = {r.admissible:<4} contribution = {r.contribution:.1f}")
+for i in leaders.tolist():
+    classes, contribution = int(report.admissible[i]), float(report.per_q[i])
+    print(f"  q = {i + 1:<4} classes = {classes:<4} contribution = {contribution:.1f}")
 
 # Dyadic profile: contributions grouped by octave Q/2^(k+1) < q <= Q/2^k,
 # with everything below (log x)^(M+1) pooled into one small-q block.

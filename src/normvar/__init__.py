@@ -48,7 +48,6 @@ from .stats import (
     ExchangeDiff,
     LargeSieveResult,
     OrthogonalityResult,
-    PerQContribution,
     REL_TOL,
     VarianceReport,
     character_sum,
@@ -95,7 +94,6 @@ __all__ = [
     "ExchangeDiff",
     "LargeSieveResult",
     "OrthogonalityResult",
-    "PerQContribution",
     "REL_TOL",
     "VarianceReport",
     "character_sum",

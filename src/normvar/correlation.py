@@ -37,7 +37,9 @@ from .stats import _pass_budget, _pass_count
 _CHUNK = 1 << 13
 #: lags of a correlation summed at a time, in chunks (`_lag_spectra`)
 _BAND = 16
-#: entries of one correlation that `_lag_sums` adds into the sums at a time
+#: entries of one correlation that `_lag_sums` adds at a time.  An add loops
+#: over about h / K values of j at lag h, whatever its length: adding each
+#: _CHUNK block directly took 1.3-1.6x as long at x = 1e6, Q = 1e4
 _SPAN = 1 << 16
 
 

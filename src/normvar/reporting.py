@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -84,16 +83,15 @@ class Rows:
 def _pieces(obj, indent: int) -> Iterator[str]:
     """The JSON text of obj in pieces, laid out as `json.dumps(obj, indent=2)`.
 
-    Arrays may be given as lists, tuples, iterators or `Rows`; an
-    iterator is read once, a piece per item, so rows given as a generator
-    are formatted as they are written.
+    Arrays may be given as lists, tuples or `Rows`; a `Rows` array is
+    formatted as it is written, a piece per batch of rows.
     """
     if isinstance(obj, Rows):
         yield from obj.pieces(indent)
         return
     if isinstance(obj, dict):
         members, brackets = ((_key(k), v) for k, v in obj.items()), "{}"
-    elif isinstance(obj, (list, tuple, abc.Iterator)):
+    elif isinstance(obj, (list, tuple)):
         members, brackets = (("", v) for v in obj), "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -102,7 +100,7 @@ def _pieces(obj, indent: int) -> Iterator[str]:
     for prefix, value in members:
         if isinstance(value, _SCALARS):
             yield f"{sep}{pad}  {prefix}{_scalar(value)}"
-        elif isinstance(value, (abc.Iterator, Rows)):
+        elif isinstance(value, Rows):
             yield f"{sep}{pad}  {prefix}"
             yield from _pieces(value, indent + 1)
         else:  # held whole already, so written as one piece
@@ -118,8 +116,8 @@ _JSON_BLOCK = 1 << 16
 def json_text(obj) -> Iterator[str]:
     """The JSON text of obj and a final newline, in blocks of about 64 KiB.
 
-    obj may give its lists as iterators, so the rows of a report are
-    formatted as they are written and never held at once.
+    The rows of a `Rows` array are formatted as they are written, so the
+    text of a report's rows is never held at once.
     """
     block, size = [], 0
     for piece in (_scalar(obj),) if isinstance(obj, _SCALARS) else _pieces(obj, 0):
@@ -147,8 +145,15 @@ def run_config(field: FieldSpec, **kwargs) -> dict:
     return cfg
 
 
+def _per_q_rows(report: VarianceReport, size: int) -> Iterator[Iterator[tuple]]:
+    """The rows (q, admissible, contribution) of report, `size` at a time, from slices of its columns."""
+    for lo in range(0, report.Q, size):
+        hi = lo + size
+        yield zip(range(lo + 1, hi + 1), report.admissible[lo:hi].tolist(), report.per_q[lo:hi].tolist())
+
+
 def variance_payload(report: VarianceReport, config: dict, checks: dict) -> dict:
-    """The variance report; its `per_q` rows are `Rows` over a generator, to be written once by `json_text`."""
+    """The variance report; its `per_q` rows are `Rows` read from the report's columns by `json_text`."""
     return {
         "format_version": FORMAT_VERSION,
         "config": config,
@@ -164,7 +169,7 @@ def variance_payload(report: VarianceReport, config: dict, checks: dict) -> dict
         "per_q": Rows(
             ("q", "phi_K", "contribution"),
             ("d", "d", ".15g"),
-            ((r.q, r.admissible, r.contribution) for r in report.per_q),
+            itertools.chain.from_iterable(_per_q_rows(report, _ROWS_PIECE)),
         ),
         "dyadic": [
             {"U_lo": b.u_lo, "U_hi": b.u_hi, "contribution": b.contribution}
@@ -216,9 +221,8 @@ def _event_rows(columns: EventColumns) -> str:
 def per_q_csv(report: VarianceReport) -> Iterator[str]:
     """The `variance` CSV in blocks of 2^14 rows, header first, so its text is never held at once."""
     yield "q,phi_K,contribution\n"
-    for lo in range(0, len(report.per_q), _CSV_ROWS):
-        rows = report.per_q[lo : lo + _CSV_ROWS]
-        yield "".join(f"{r.q},{r.admissible},{format_float(r.contribution)}\n" for r in rows)
+    for rows in _per_q_rows(report, _CSV_ROWS):
+        yield "".join(f"{q},{count},{format_float(c)}\n" for q, count, c in rows)
 
 
 def gq_csv(field: FieldSpec, moduli) -> str:

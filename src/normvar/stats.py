@@ -41,6 +41,7 @@ Identity checks pair two independent code paths over the same events:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -184,15 +185,6 @@ def orthogonality_check(field: FieldSpec, x: int, q: int) -> OrthogonalityResult
     return OrthogonalityResult(q, x, lhs, rhs, abs(lhs - rhs) / max(lhs, 1.0))
 
 
-# slots: a report holds one per q, and at Q = 1e4 a __dict__ each would
-# add about 1 MiB to the peak RSS
-@dataclass(frozen=True, slots=True)
-class PerQContribution:
-    q: int
-    admissible: int
-    contribution: float
-
-
 @dataclass(frozen=True)
 class DyadicBlock:
     u_lo: float
@@ -200,9 +192,14 @@ class DyadicBlock:
     contribution: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarianceReport:
-    """Variance of class deviations over 1 <= q <= Q with envelope ratios."""
+    """Variance of class deviations over 1 <= q <= Q with envelope ratios.
+
+    The rows are read-only columns: `per_q[q - 1]` is q's contribution
+    (float64) and `admissible[q - 1]` its class count (int64).  Arrays
+    make `==` ambiguous, so compare reports column by column.
+    """
 
     field: FieldSpec
     x: int
@@ -216,7 +213,8 @@ class VarianceReport:
     outside_mass: float
     range_condition_satisfied: bool
     small_q_cutoff: float
-    per_q: tuple[PerQContribution, ...]
+    per_q: np.ndarray
+    admissible: np.ndarray
     dyadic: tuple[DyadicBlock, ...]
 
 
@@ -234,24 +232,23 @@ def small_q_cutoff(x: int, M: int) -> float:
     return math.log(x) ** (M + 1)
 
 
-def _dyadic_blocks(
-    per_q: tuple[PerQContribution, ...], Q: int, cutoff: float
-) -> tuple[DyadicBlock, ...]:
-    def block_sum(lo: float, hi: float) -> float:
-        # the rows are q = 1..Q in order, so lo < q <= hi is one slice of them
-        return math.fsum(r.contribution for r in per_q[math.floor(lo) : math.floor(hi)])
+def _fsum(column: np.ndarray) -> float:
+    """math.fsum of a float64 column, read _BLOCK entries at a time; exact, so the blocks do not show."""
+    blocks = (column[lo : lo + _BLOCK].tolist() for lo in range(0, column.size, _BLOCK))
+    return math.fsum(itertools.chain.from_iterable(blocks))
 
-    if cutoff >= Q:
-        return (DyadicBlock(0.0, float(Q), block_sum(0.0, float(Q))),)
-    blocks = []
-    hi = float(Q)
-    while hi / 2 > cutoff:
-        blocks.append(DyadicBlock(hi / 2, hi, block_sum(hi / 2, hi)))
-        hi /= 2
-    if hi > cutoff:
-        blocks.append(DyadicBlock(cutoff, hi, block_sum(cutoff, hi)))
-    blocks.append(DyadicBlock(0.0, cutoff, block_sum(0.0, cutoff)))
-    return tuple(blocks)
+
+def _dyadic_blocks(per_q: np.ndarray, cutoff: float) -> tuple[DyadicBlock, ...]:
+    """Blocks (lo, hi] from Q down, halved while lo > cutoff, then (cutoff, hi] and (0, cutoff]."""
+    edges = [float(per_q.size)]
+    while edges[-1] / 2 > cutoff:
+        edges.append(edges[-1] / 2)
+    if cutoff < edges[0]:
+        edges.append(cutoff)
+    edges.append(0.0)
+    # per_q[q - 1] is q's contribution, so lo < q <= hi is one slice of it
+    sums = (_fsum(per_q[math.floor(lo) : math.floor(hi)]) for hi, lo in itertools.pairwise(edges))
+    return tuple(map(DyadicBlock, edges[1:], edges, sums))
 
 
 def _pass_plan(Q: int, budget: int) -> list[tuple[int, list[int]]]:
@@ -340,7 +337,7 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     blocked correlations of the weights, one pair of unit classes mod
     lcm(m, 2) at a time (`correlation._correlation_rows`); its rows are
     not bit-identical to the direct ones, but within about 1e-11
-    relative.  The per-q rows are summed with `math.fsum` in ascending q.
+    relative.  The per-q rows are summed exactly, with `math.fsum`.
 
     Args:
         field: base field descriptor.
@@ -374,25 +371,22 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
 
 def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> VarianceReport:
     """The variance report with q <= `direct` on the direct passes and the larger q on the correlation route."""
-    counts = np.zeros(Q + 1, dtype=np.int64)
-    contributions = np.zeros(Q + 1)
-    outside = np.zeros(Q + 1)
+    counts = np.zeros(Q, dtype=np.int64)
+    contributions = np.zeros(Q)
+    outside = np.zeros(Q)
     for q, t in _per_q_weights(field, x, direct):
         member, coprime = residue_masks(field, q)
-        counts[q] = count = np.count_nonzero(member)
+        counts[q - 1] = count = np.count_nonzero(member)
         dev = t[member] - x / count
-        contributions[q] = dev @ dev
-        outside[q] = t[coprime & ~member].sum()
+        contributions[q - 1] = dev @ dev
+        outside[q - 1] = t[coprime & ~member].sum()
     if direct < Q:
         from .correlation import _correlation_rows
 
-        counts[direct + 1 :], contributions[direct + 1 :], outside[direct + 1 :] = _correlation_rows(
-            field, x, direct, Q
-        )
-
-    total = math.fsum(contributions.tolist())
-    outside_mass = math.fsum(outside.tolist())
-    per_q = tuple(map(PerQContribution, range(1, Q + 1), counts[1:].tolist(), contributions[1:].tolist()))
+        counts[direct:], contributions[direct:], outside[direct:] = _correlation_rows(field, x, direct, Q)
+    counts.setflags(write=False)
+    contributions.setflags(write=False)
+    total = _fsum(contributions)
     log_x = math.log(x)
     envelope_classical = x * Q * log_x
     envelope_grh = envelope_classical * log_x**3
@@ -407,11 +401,12 @@ def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> Variance
         envelope_grh=envelope_grh,
         ratio_bdh=total / envelope_classical,
         ratio_grh=total / envelope_grh,
-        outside_mass=outside_mass,
+        outside_mass=_fsum(outside),
         range_condition_satisfied=x * log_x**-M <= Q <= x,
         small_q_cutoff=cutoff,
-        per_q=per_q,
-        dyadic=_dyadic_blocks(per_q, Q, cutoff),
+        per_q=contributions,
+        admissible=counts,
+        dyadic=_dyadic_blocks(contributions, cutoff),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import normvar as nv
-from normvar import cli, reporting, sieve, stats
+from normvar import cli, correlation, reporting, sieve, stats
 from normvar.cli import main
 from naive_oracle import naive_events
 
@@ -176,16 +177,33 @@ def test_variance_csv_format(capsys):
     assert lines[1].startswith("1,1,")
 
 
+#: (x, Q) of a report whose rows are all direct, and of one whose q > 54
+#: take the correlation route (`_routed_report` checks that they do)
+ROW_REPORTS = ((500, 20), (3000, 3000))
+
+
+def _routed_report(monkeypatch, x, Q):
+    """`variance` on field Q, and whether its rows for q > isqrt(x) took the correlation route."""
+    calls = []
+    rows = correlation._correlation_rows
+    monkeypatch.setattr(correlation, "_correlation_rows", lambda *a: calls.append(a[2]) or rows(*a))
+    return nv.variance(nv.rational_field(), x, Q), calls == [math.isqrt(x)]
+
+
 def test_variance_csv_blocks_join_to_one_csv(monkeypatch, capsys):
-    # small blocks, so the rows span several of them
+    # small blocks, so the rows span several of them, and at Q = 3000 one
+    # block holds both direct and routed rows
     monkeypatch.setattr(reporting, "_CSV_ROWS", 7)
-    report = nv.variance(nv.rational_field(), 500, 20)
-    rows = [f"{r.q},{r.admissible},{reporting.format_float(r.contribution)}" for r in report.per_q]
-    code, out, _ = run(
-        capsys, "variance", "--field", "Q", "--x", "500", "--Q", "20", "--format", "csv"
-    )
-    assert code == 0
-    assert out == "\n".join(["q,phi_K,contribution"] + rows) + "\n"
+    for x, Q in ROW_REPORTS:
+        report, routed = _routed_report(monkeypatch, x, Q)
+        assert routed == (Q > math.isqrt(x))
+        columns = zip(range(1, Q + 1), report.admissible.tolist(), report.per_q.tolist())
+        rows = [f"{q},{count},{reporting.format_float(c)}" for q, count, c in columns]
+        code, out, _ = run(
+            capsys, "variance", "--field", "Q", "--x", str(x), "--Q", str(Q), "--format", "csv"
+        )
+        assert code == 0
+        assert out == "\n".join(["q,phi_K,contribution"] + rows) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -228,18 +246,22 @@ def test_json_text_streams_json_dumps_layout(monkeypatch):
     # writes each as format_float does
     rows = [{"q": q, "phi_K": q - 1, "contribution": (2 * q + 1) / 16} for q in range(1, 60)]
     obj = {"a": 1, "b": {}, "c": [], "rows": rows, "d": {"e": [True, None, "s"]}, "f": 0.1}
-    streamed = {**obj, "rows": iter(rows), "c": iter([]), "d": {"e": (True, None, "s")}}
-    blocks = list(reporting.json_text(streamed))
+    # each member of a top-level list is a piece, so the rows take many blocks
+    blocks = list(reporting.json_text(rows))
     assert len(blocks) > 10
+    assert "".join(blocks) == json.dumps(rows, indent=2) + "\n"
     expected = json.dumps(obj, indent=2) + "\n"
-    assert "".join(blocks) == expected
+    assert "".join(reporting.json_text({**obj, "d": {"e": (True, None, "s")}})) == expected
     assert reporting.to_json_bytes(obj) == expected.encode("ascii")
     # floats are written at 15 significant digits, scalars stand alone
     assert reporting.to_json_bytes({"v": [1 / 7, 2.0]}) == b'{\n  "v": [\n    0.142857142857143,\n    2\n  ]\n}\n'
-    assert reporting.to_json_bytes(iter([])) == b"[]\n"
+    assert reporting.to_json_bytes([]) == b"[]\n"
     assert reporting.to_json_bytes("s") == b'"s"\n'
     with pytest.raises(TypeError):
         reporting.to_json_bytes({"v": object()})
+    # only `Rows` streams; an iterator is not an array
+    with pytest.raises(TypeError):
+        reporting.to_json_bytes(iter([]))
 
 
 def test_rows_are_laid_out_as_json_dumps(monkeypatch):
@@ -258,6 +280,16 @@ def test_rows_are_laid_out_as_json_dumps(monkeypatch):
     # a float at 15 significant digits, as format_float writes it
     one = reporting.Rows(("v",), (".15g",), [(1 / 7,)])
     assert reporting.to_json_bytes(one) == b'[\n  {\n    "v": 0.142857142857143\n  }\n]\n'
+    # a report's rows, read from its columns, as the generic writer lays
+    # out the same rows given as dicts; at Q = 3000 a piece holds both
+    # direct and routed rows
+    for x, Q in ROW_REPORTS:
+        report, routed = _routed_report(monkeypatch, x, Q)
+        assert routed == (Q > math.isqrt(x))
+        payload = reporting.variance_payload(report, {}, {})
+        columns = zip(range(1, Q + 1), report.admissible.tolist(), report.per_q.tolist())
+        dicts = [{"q": q, "phi_K": count, "contribution": c} for q, count, c in columns]
+        assert reporting.to_json_bytes(payload) == reporting.to_json_bytes({**payload, "per_q": dicts})
 
 
 def test_runs_below_sqrt_x_leave_the_route_unloaded(tmp_path):

@@ -162,12 +162,13 @@ def test_variance_outside_mass_is_exactly_zero(field):
 
 def test_variance_per_q_shape_and_positivity(field):
     report = nv.variance(field, 1000, 30)
-    assert [r.q for r in report.per_q] == list(range(1, 31))
-    assert all(r.contribution >= 0.0 for r in report.per_q)
-    assert all(r.admissible == nv.norm_class_group(field, r.q).order for r in report.per_q)
-    assert report.total == pytest.approx(
-        math.fsum(r.contribution for r in report.per_q), rel=1e-15
-    )
+    assert report.per_q.dtype == np.float64 and report.admissible.dtype == np.int64
+    assert report.per_q.shape == report.admissible.shape == (30,)
+    assert not report.per_q.flags.writeable and not report.admissible.flags.writeable
+    assert (report.per_q >= 0.0).all()
+    orders = [nv.norm_class_group(field, q).order for q in range(1, 31)]
+    assert report.admissible.tolist() == orders
+    assert report.total == math.fsum(report.per_q.tolist())
 
 
 def test_variance_validates_inputs(field):
@@ -181,10 +182,10 @@ def test_variance_validates_inputs(field):
 
 @lru_cache(maxsize=None)
 def _reference_rows(label: str, x: int, Q: int):
-    """Per-q rows and outside mass from per-class `math.fsum` and gcd masks, q = 1..Q."""
+    """Admissible counts, contributions and outside mass from per-class `math.fsum` and gcd masks, q = 1..Q."""
     field = nv.parse_field(label)
     ev = nv.norm_events(field, x)
-    rows, outside = [], []
+    counts, contributions, outside = [], [], []
     for q in range(1, Q + 1):
         t = _fsum_classes(ev.n, ev.weights(), q)
         res = np.arange(q)
@@ -193,9 +194,10 @@ def _reference_rows(label: str, x: int, Q: int):
         member = coprime & kernel_image(field, g)[res % g]
         count = int(np.count_nonzero(member))
         dev = t[member] - x / count
-        rows.append(nv.PerQContribution(q, count, float(dev @ dev)))
+        counts.append(count)
+        contributions.append(float(dev @ dev))
         outside.append(float(t[coprime & ~member].sum()))
-    return tuple(rows), math.fsum(outside)
+    return np.array(counts), np.array(contributions), math.fsum(outside)
 
 
 ROW_LABELS = ("Q", "quad:-1", "quad:5", "cyclo:12")
@@ -212,8 +214,9 @@ def test_variance_rows_are_bit_identical_to_reference_loop(label, x, Q):
     # every q on the direct passes: at (1e5, 1500) `variance` routes q > 316
     # to the correlation, which test_correlation_rows_match_direct_rows holds
     report = stats._variance(nv.parse_field(label), x, Q, 1, Q)
-    rows, outside = _reference_rows(label, x, Q)
-    assert report.per_q == rows
+    counts, contributions, outside = _reference_rows(label, x, Q)
+    assert np.array_equal(report.admissible, counts)
+    assert np.array_equal(report.per_q, contributions)
     assert report.outside_mass == outside
 
 
@@ -231,10 +234,10 @@ def _assert_routed_rows_match_direct(field, x, Q):
     routed = nv.variance(field, x, Q)
     direct = stats._variance(field, x, Q, 1, Q)
     # the direct passes still serve q <= K, bit for bit
-    assert routed.per_q[:K] == direct.per_q[:K]
-    for r, d in zip(routed.per_q[K:], direct.per_q[K:]):
-        assert (r.q, r.admissible) == (d.q, d.admissible)
-        assert nv.rel_gap(r.contribution, d.contribution) <= 1e-9, r.q
+    assert np.array_equal(routed.per_q[:K], direct.per_q[:K])
+    assert np.array_equal(routed.admissible, direct.admissible)
+    for q, r, d in zip(range(K + 1, Q + 1), routed.per_q[K:].tolist(), direct.per_q[K:].tolist()):
+        assert nv.rel_gap(r, d) <= 1e-9, q
     assert nv.rel_gap(routed.outside_mass, direct.outside_mass) <= 1e-9
     assert nv.rel_gap(routed.total, direct.total) <= 1e-9
     return routed, direct
@@ -344,7 +347,9 @@ def test_routing_starts_above_isqrt_x(x):
     assert _direct_bound(field, x, K) == K
     assert _direct_bound(field, x, x) == K
     report = nv.variance(field, x, 3 * K)
-    assert report.per_q[:K] == stats._variance(field, x, K, 1, K).per_q
+    below = stats._variance(field, x, K, 1, K)
+    assert np.array_equal(report.per_q[:K], below.per_q)
+    assert np.array_equal(report.admissible[:K], below.admissible)
 
 
 def test_routing_keeps_direct_passes_where_the_correlation_costs_more():
@@ -460,10 +465,9 @@ def test_dyadic_partition_sums_to_total(field):
 def test_dyadic_blocks_sum_the_rows_of_their_range(Q, cutoff):
     # each block sums the rows lo < q <= hi, whatever the block edges
     rng = np.random.default_rng(Q)
-    values = (rng.random(Q) * 10.0 ** rng.integers(-3, 8, Q)).tolist()
-    per_q = tuple(stats.PerQContribution(q, 1, v) for q, v in zip(range(1, Q + 1), values))
-    for b in stats._dyadic_blocks(per_q, Q, cutoff):
-        inside = [r.contribution for r in per_q if b.u_lo < r.q <= b.u_hi]
+    per_q = rng.random(Q) * 10.0 ** rng.integers(-3, 8, Q)
+    for b in stats._dyadic_blocks(per_q, cutoff):
+        inside = [v for q, v in enumerate(per_q.tolist(), 1) if b.u_lo < q <= b.u_hi]
         assert b.contribution == math.fsum(inside), (b.u_lo, b.u_hi)
 
 
@@ -564,7 +568,10 @@ def test_event_table_serves_the_checks_from_the_variance_passes(field, monkeypat
     passes = []
     slice_tables = stats.slice_tables
     monkeypatch.setattr(stats, "slice_tables", lambda *a: passes.append(a) or slice_tables(*a))
-    assert nv.variance(field, x, Q) == report
+    again = nv.variance(field, x, Q)
+    assert np.array_equal(again.per_q, report.per_q)
+    assert np.array_equal(again.admissible, report.admissible)
+    assert (again.total, again.outside_mass, again.dyadic) == (report.total, report.outside_mass, report.dyadic)
     assert [nv.large_sieve_check(field, x, s) for s in (Q, 20)] == sieve_alone
     for q in (1, 9, 30, 60, 120):
         assert nv.residue_buckets(field, x, q) is ev.held[q]

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import normvar as nv
+
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
 
 
@@ -45,3 +47,11 @@ def test_traced_function_is_callable(layer, name):
 @pytest.mark.parametrize("layer, name", _entries(trace_child.CACHED))
 def test_cached_function_keeps_its_cache(layer, name):
     assert hasattr(_resolve(layer, name), "cache_info"), f"{layer}.{name}"
+
+
+def test_variance_size_counter_reads_Q():
+    # the tracer counts the moduli of a variance report as len(per_q)
+    tracer = trace_child.Tracer()
+    report = nv.variance(nv.rational_field(), 3000, 3000)
+    tracer.observe("stats.variance", report)
+    assert tracer.counts["stats.variance.moduli"] == 3000
