@@ -6,7 +6,17 @@ events up to x; `characters` and `galois` provide Dirichlet characters
 and the admissible residue classes modulo q; `stats` accumulates the
 per-class weights, their variance over q <= Q, and the dual-route
 identity checks that guard the whole computation.
+
+Importing normvar holds OpenBLAS to one thread unless the caller set
+`OPENBLAS_NUM_THREADS`: no product here needs a threaded BLAS, and the
+idle worker of numpy's default pool spins for about 0.13 s of CPU per
+process.  The hold applies only if normvar is imported before numpy,
+and child processes inherit the variable.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .fields import (
     MAX_CONDUCTOR,

@@ -6,7 +6,8 @@ table), `dump-events` (raw event CSV).  Reports go to --out or stdout;
 human-readable status lines go to stderr.  Exit status is 0 iff every
 executed check passed, 1 on a check failure, 2 on bad usage or an I/O
 error such as an unwritable --out path, or a field whose report cannot
-be serialized.
+be serialized.  An --out that names a directory or lies in a missing
+one is refused before any work.
 
 Every command reads the events from the one cached table
 (`sieve.norm_events`); `dump-events` derives its CSV columns from it a
@@ -32,6 +33,7 @@ checks after them read those: in `variance` the report's passes, in
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from typing import NamedTuple
@@ -92,6 +94,20 @@ VARIANCE_BLOCK_KEYS = {
     "large-sieve": "large_sieve_holds",
     "char-exchange": "lemma2_max_gap",
 }
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an --out that names a directory or lies in a missing one.
+
+    It creates nothing: `_write` opens the file once the report is ready.
+    """
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise ValueError(f"--out {out} is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {out}: no directory {parent}")
 
 
 def _write(out: str | None, report) -> None:
@@ -317,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,14 @@ def fail_lines(err: str) -> int:
     return sum(line.startswith("FAIL ") for line in err.splitlines())
 
 
+def _fresh_python(script: str, env: dict, *args: str) -> subprocess.CompletedProcess:
+    """Run script in a new interpreter that imports normvar from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-c", script, *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_dump_events_golden(capsys):
     code, out, _ = run(capsys, "dump-events", "--field", "quad:-1", "--x", "10")
     assert code == 0
@@ -305,11 +313,7 @@ assert "normvar.correlation" not in sys.modules
 assert cli.main(["variance", "--field", "Q", "--x", "10000", "--Q", "101", "--out", sys.argv[1]]) == 0
 assert "normvar.correlation" in sys.modules
 """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-c", script, str(tmp_path / "report.json")]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    proc = _fresh_python(script, dict(os.environ), str(tmp_path / "report.json"))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -517,6 +521,76 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["variance", "--x", "100000", "--Q", "300"],
+        ["checks", "--x", "100000", "--Q", "300"],
+        ["gq", "--Q", "300"],
+        ["dump-events", "--x", "100000"],
+    ],
+    ids=["variance", "checks", "gq", "dump-events"],
+)
+def test_unservable_out_fails_before_computing(command, target, monkeypatch, tmp_path, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("computed a report that cannot be written")
+
+    for name in ("norm_events", "variance", "gq_csv", "events_csv"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "missing" / "report" if target == "missing" else tmp_path
+    code, stdout, err = run(capsys, command[0], "--field", "quad:-1", *command[1:], "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: --out {out}") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_holds_openblas_to_one_thread():
+    script = """
+import os
+import normvar
+print(os.environ["OPENBLAS_NUM_THREADS"])
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        print([line.strip() for line in fh if line.startswith("Threads:")][0])
+"""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    proc = _fresh_python(script, env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "1"
+    if Path("/proc/self/status").exists():
+        assert lines[1] == "Threads:\t1"
+    # a size the caller chose is kept
+    proc = _fresh_python(script, {**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # direct passes, and the correlation route for q > isqrt(x) = 316
+        ["variance", "--field", "quad:-1", "--x", "100000", "--Q", "1000"],
+        ["checks", "--field", "cyclo:12", "--x", "100000", "--Q", "120"],
+    ],
+    ids=["variance", "checks"],
+)
+def test_report_bytes_do_not_depend_on_the_blas_pool(argv, tmp_path):
+    # the one thread normvar holds against a pool of two; the variable is
+    # set explicitly, since this process may have imported normvar and
+    # then passes its hold on
+    script = "import sys\nfrom normvar import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"pool-{threads}.out"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = _fresh_python(script, env, *argv, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 @pytest.mark.parametrize(
