@@ -10,10 +10,12 @@ at n is the exact rational rotation
     sum_i exponents[i] * dlog_i(n) / order_i  (mod 1),
 
 kept as a Fraction until complex values are actually needed.  Numeric
-values have one route, `phase_matrix`: the integer numerators of those
-rotations for every character modulo q at every residue.
-`character_matrix` maps it to complex values, a character's `value_table`
-is its row there, and `galois` reads the annihilator off it.  The
+values have one route, `phase_columns`: the integer numerators of those
+rotations for every character modulo q at the given residues.
+`phase_matrix` takes them at every residue, `character_matrix` maps
+that to complex values, a character's `value_table` is its row there,
+and `galois` reads the annihilator off the columns of a few generators
+of the admissible classes.  The
 conductor follows one rule: a factor of (Z/p^a)^* on which the character
 has order r > 1 asks for p^(base + v_p(r)), where base is 2 for <5> and
 1 for every other factor, and the conductor is the lcm of these prime
@@ -243,22 +245,30 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     )
 
 
-def phase_matrix(q: int) -> np.ndarray:
-    """Integer phases of every character modulo q at every residue; not cached.
+def phase_columns(group: UnitGroup, residues: np.ndarray) -> np.ndarray:
+    """Integer phases of every character of `group` at the given residues; shape (phi(q), len(residues)).
 
     Row i belongs to enumerate_characters(q)[i] and holds k with value
     exp(2 pi i k / exponent) at each unit; entries at non-units are
-    meaningless.  Shape (phi(q), q).
+    meaningless.
     """
-    group = unit_group(q)
     big = group.exponent
-    phases = np.zeros((1, q), dtype=np.int64)
+    dlog = group.dlog[residues]
+    phases = np.zeros((1, len(dlog)), dtype=np.int64)
     # one component at a time, its exponent varying fastest: the row order
     # of itertools.product in enumerate_characters
-    for comp, dlog in zip(group.components, group.dlog.T):
-        steps = np.arange(comp.order, dtype=np.int64)[:, None] * (dlog * (big // comp.order))
-        phases = ((phases[:, None, :] + steps) % big).reshape(-1, q)
+    for comp, column in zip(group.components, dlog.T):
+        steps = np.arange(comp.order, dtype=np.int64)[:, None] * (column * (big // comp.order))
+        phases = ((phases[:, None, :] + steps) % big).reshape(len(phases) * comp.order, len(dlog))
     return phases
+
+
+def phase_matrix(q: int) -> np.ndarray:
+    """Integer phases of every character modulo q at every residue (`phase_columns`); not cached.
+
+    Shape (phi(q), q).
+    """
+    return phase_columns(unit_group(q), np.arange(q))
 
 
 # a few entries: the checks read the matrices of small moduli again and

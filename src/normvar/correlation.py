@@ -68,12 +68,13 @@ def _class_split(field: FieldSpec, ev: NormEventTable) -> tuple[int, np.ndarray,
     return M, dense, np.flatnonzero(~dense[residues])
 
 
-def _direct_bound(x: int, Q: int, events: int, slices: int, split: tuple[int, int, int]) -> int:
+def _direct_bound(x: int, Q: int, events: int, columns: int, split: tuple[int, int, int]) -> int:
     """Largest q that the direct passes serve; every q above it, up to Q, takes the correlation route.
 
-    `split` is (M, number of dense classes, number of sparse events) of
-    `_class_split`.  The routing rule: the moduli q > K = isqrt(x) take the
-    correlation route (`_correlation_rows`) when it costs less than the
+    `columns` counts the complex weight columns of the event table (one
+    for every table measured), and `split` is (M, number of dense
+    classes, number of sparse events) of `_class_split`.  The routing
+    rule: the moduli q > K = isqrt(x) take the correlation route (`_correlation_rows`) when it costs less than the
     direct work it replaces, else every q <= Q stays on the direct
     passes.  Below sqrt(x), t_q is large next to its deviation, and the
     route's squares cancel too much.  Costs are counted in steps of about
@@ -89,10 +90,13 @@ def _direct_bound(x: int, Q: int, events: int, slices: int, split: tuple[int, in
         lag i x / s, so it adds up to i x / (s K) ranges, x (s + 1) / (2K)
         for the s spans of a pair's x / M entries or of the sparse lags;
       * the direct passes it replaces: those `_pass_plan` makes for q <= Q
-        beyond those it makes for q <= K, each a scatter of every event per
-        slice at 5 steps (4.7-6.0 ns measured), and per q in (K, Q] its masks,
-        fold and deviations at 30,000 steps plus 6 per slice-table entry
-        it folds (33 us at Q = 250, 158 us at Q = 10^4).
+        beyond those it makes for q <= K, each one scatter of every event per
+        complex column, both slices at once, at 5 steps (2.6-5.5 ns
+        measured at x = 1e6 and 1e7, where one scatter per slice took
+        2.9-5.2 ns per slice in the same runs), and per q in (K, Q] its
+        masks, fold and deviations at 30,000 steps plus 12 per column entry
+        it folds (33 us at Q = 250, 158 us at Q = 10^4, with two slices;
+        a complex fold costs about what two float folds did).
     The route's fixed work, a few milliseconds for the primes p <= Q and
     the pairs of prime powers, is left out: it matters only where both
     routes take milliseconds.
@@ -114,7 +118,7 @@ def _direct_bound(x: int, Q: int, events: int, slices: int, split: tuple[int, in
     )
     budget = _pass_budget(events)
     passes = _pass_count(Q, budget) - _pass_count(K, budget)
-    direct = 5 * passes * events * slices + (Q - K) * (30_000 + 6 * slices * Q)
+    direct = 5 * passes * events * columns + (Q - K) * (30_000 + 12 * columns * Q)
     return K if correlation < direct else Q
 
 

@@ -11,7 +11,8 @@ remainder per residue: the units by striking out the multiples of each
 prime factor of q (`characters.unit_mask`), the admissible classes by
 repeating the image modulo g, which divides q, q / g times.  The
 annihilator, the characters trivial on every admissible class, are the
-rows of `characters.phase_matrix` that vanish on every member.
+characters whose phases (`characters.phase_columns`) vanish on a few
+members that generate the group.
 
 Next to the closed form there is an empirical construction, the
 multiplicative closure of actually observed norm residues p^f mod q over
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import divisors, euler_phi
-from .characters import phase_matrix, unit_mask
+from .characters import UnitGroup, phase_columns, unit_mask
 from .fields import FieldSpec, kernel_image, residue_degrees
 from .sieve import primes_up_to
 
@@ -82,12 +83,41 @@ def _image_conductor(field: FieldSpec, g: int) -> int:
     return next(d for d in divisors(g) if image[units[units % d == 1 % d]].all())
 
 
+def _generators(q: int, member: np.ndarray) -> list[int]:
+    """Members that generate the group the `member` mask sets, picked greedily in ascending order.
+
+    A member joins when the closure of those before it misses it; the
+    closure, a boolean mask, then grows by the cosets a^j * H of the
+    subgroup H it held, until a^j falls in H.
+    """
+    closure = np.zeros(q, dtype=bool)
+    closure[1 % q] = True
+    generators = []
+    for a in np.flatnonzero(member).tolist():
+        if closure[a]:
+            continue
+        generators.append(a)
+        # the closure's first entry is 1, so coset[0] is a^j
+        coset = np.flatnonzero(closure)
+        while not closure[(coset := coset * a % q)[0]]:
+            closure[coset] = True
+    return generators
+
+
 @lru_cache(maxsize=1024)
 def norm_class_group(field: FieldSpec, q: int) -> NormClassGroup:
-    """Closed-form admissible class group with its character annihilator."""
+    """Closed-form admissible class group with its character annihilator.
+
+    The annihilator is read at generators of the members alone: a
+    character trivial on them is trivial on the group they generate.
+    If the members were not a group, that group would be larger than
+    `order`, and order * |annihilator| would miss phi(q).  The unit group
+    is built uncached, so its discrete logs are not kept.
+    """
     member, _ = residue_masks(field, q)
     members = np.flatnonzero(member)
-    perp = np.flatnonzero(~phase_matrix(q)[:, members].any(axis=1))
+    phases = phase_columns(UnitGroup(q), np.array(_generators(q, member), dtype=np.intp))
+    perp = np.flatnonzero(~phases.any(axis=1))
     return NormClassGroup(
         q=q,
         members=tuple(int(a) for a in members),

@@ -19,9 +19,9 @@ statistics read only n, the class sums of the weights w = dk * lam and
 the moments S1 = sum w and S2 = sum w^2, so `norm_events` is the one
 cache of event data: its table holds n as uint32, the weights split
 into slices whose sums are exact in any order (`weight_slices`, two
-float64 slices for every table measured: 20 bytes per event),
-(S1, S2), and the class sums of the small moduli that `stats` folds out
-of them (`held`).  `event_columns` derives all five columns (n, p, k,
+float64 slices for every table measured, held as the two lanes of one
+complex128 column: 20 bytes per event), (S1, S2), and the class sums
+of the small moduli that `stats` folds out of them (`held`).  `event_columns` derives all five columns (n, p, k,
 dk, lam) from that table, with no second build: a row is a prime n = p
 with k = 1 and dk = degree unless it is one of the O(sqrt x) powers p^k,
 k >= 2, or a ramified p, which one `_prime_power_rows` search finds.
@@ -47,7 +47,9 @@ EVENT_MEMORY_BUDGET = 4 << 30
 #: --Q 1` for Q peaked at 340 MiB for the 5.76e6 events (62 bytes each,
 #: with the interpreter) while n was int64, and at 273.6 MiB (50 bytes)
 #: with n as uint32 (from a launcher's `wait4`; building the table alone
-#: peaked at 273.1 MiB).  The first event block sets that peak, holding
+#: peaked at 273.1 MiB).  With the slices peeled in place into complex
+#: columns it peaked at 272.9 MiB (273.0 MiB for the float64 slices in
+#: the same session).  The first event block sets that peak, holding
 #: 242.8 MiB of arrays (`tracemalloc`): the primes (122.8 MiB once sieved),
 #: their residue degrees (162.6 MiB), the primes of one degree, their lam
 #: and w = dk * lam, and their norms as uint32.  The sort holds 220.9 MiB,
@@ -113,25 +115,27 @@ class NormEventTable:
     """The norm events of one field up to x, as the statistics read them.
 
     `n` (uint32, as every n <= MAX_SIEVE_LIMIT < 2^32) holds the norms in
-    ascending order.  `slices` holds the matching weights w = dk * lam
-    split by `weight_slices`: each slice sums exactly in any order, and
-    the slices add up to w, so adding them from the smallest rebuilds w
-    bit for bit (`weights`).  `moments` is (S1, S2), the correctly
-    rounded sums of w and w^2.  `held` maps a modulus q to the class
-    weights t_q of these events, once `stats` has folded them; it holds
-    the q <= `stats._HELD_BOUND` and starts empty.  Every array is
-    read-only.
+    ascending order.  `columns` holds the matching weights w = dk * lam
+    split by `weight_slices`, two slices to a complex128 column, and
+    `slices` views them lane by lane (`lanes`): each slice sums exactly
+    in any order, and the slices add up to w, so adding them from the
+    smallest rebuilds w bit for bit (`weights`).  `moments` is (S1, S2),
+    the correctly rounded sums of w and w^2.  `held` maps a modulus q to
+    the class weights t_q of these events, once `stats` has folded them;
+    it holds the q <= `stats._HELD_BOUND` and starts empty.  Every array
+    is read-only.
     """
 
-    __slots__ = ("n", "slices", "moments", "held")
+    __slots__ = ("n", "columns", "slices", "moments", "held")
 
-    def __init__(self, n: np.ndarray, slices: tuple[np.ndarray, ...], moments: tuple[float, float]):
+    def __init__(self, n: np.ndarray, columns: tuple[np.ndarray, ...], moments: tuple[float, float]):
         self.n = n
-        self.slices = slices
+        self.columns = columns
         self.moments = moments
         self.held: dict[int, np.ndarray] = {}
-        for column in (n, *slices):
+        for column in (n, *columns):
             column.setflags(write=False)
+        self.slices = lanes(columns)
 
     def __len__(self) -> int:
         return self.n.size
@@ -187,8 +191,9 @@ def _event_parts(field: FieldSpec, x: int) -> Iterator[tuple]:
 
 #: a sum of multiples of a power of two u is exact while it stays below 2^53 u
 _EXACT_UNITS = 2.0**53
-#: weights squared and summed at a time for S2
-_SQUARE_BLOCK = 1 << 16
+#: weights squared and summed at a time for S2, and peeled at a time into
+#: an imaginary lane
+_SQUARE_BLOCK = 1 << 13
 
 
 def _quantum(bound: float) -> float:
@@ -196,8 +201,28 @@ def _quantum(bound: float) -> float:
     return math.ldexp(1.0, math.frexp(bound)[1] - 52)
 
 
+def _slice_quantum(bound: float, count: int) -> float:
+    """The quantum u of the next slice of `count` entries whose residual sums to at most `bound`."""
+    u = _quantum(bound)
+    # |entry| <= |residual entry| + u / 2, so every partial sum stays below this
+    assert bound + count * u / 2 < _EXACT_UNITS * u, "slice sums would round"
+    return u
+
+
+def lanes(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The weight slices held in complex128 `columns`: each column's real, then imaginary lane, as views.
+
+    The last slice a peel makes is never all zero, so a last imaginary
+    lane of zeros holds no slice: it is how an odd count of slices ends.
+    """
+    views = [lane for column in columns for lane in (column.real, column.imag)]
+    if views and not views[-1].any():
+        views.pop()
+    return tuple(views)
+
+
 def weight_slices(w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Split w into float64 slices at fixed binary quanta; the slices add up to w exactly.
+    """Split w into float64 slices at fixed binary quanta, two to a complex128 column; they add up to w exactly.
 
     Slice i holds the residual left by the slices before it, rounded to a
     multiple of a power of two u_i (the pre-rounding of Demmel and Nguyen,
@@ -209,22 +234,47 @@ def weight_slices(w: np.ndarray) -> tuple[np.ndarray, ...]:
     until the residual is exactly 0; each residual is exact, so adding
     the slices from the smallest rebuilds w.  Two sufficed for every
     event table measured: six fields at x = 1e6 and 1e7, and Q at x = 1e8.
+
+    Slice 2j is column j's real lane and slice 2j + 1 its imaginary lane
+    (`lanes` reads them back), so one complex scatter adds two slices.
+    The slices are peeled in place: the residual lives in the imaginary
+    lane, the real lane's slice is peeled from it, and what the imaginary
+    lane's own slice leaves, if anything, starts the next column's
+    imaginary lane.  A third slice thus starts a second column, whose
+    imaginary lane stays zero unless a fourth follows.
     """
-    residual = np.array(w, dtype=np.float64)
-    count = residual.size
-    bound = count * float(np.abs(residual).max(initial=0.0))
-    slices = []
-    while residual.any():
-        u = _quantum(bound)
-        # |entry| <= |residual entry| + u / 2, so every partial sum stays below this
-        assert bound + count * u / 2 < _EXACT_UNITS * u, "slice sums would round"
-        piece = np.divide(residual, u)
+    count = w.size
+    bound = count * max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
+    columns = []
+    column = None
+    if w.any():
+        column = np.empty(count, dtype=np.complex128)
+        column.imag = w
+    while column is not None:
+        columns.append(column)
+        residual, piece = column.imag, column.real
+        u = _slice_quantum(bound, count)
+        np.divide(residual, u, out=piece)
         np.round(piece, out=piece)
         piece *= u
         residual -= piece
-        slices.append(piece)
         bound = count * u / 2
-    return tuple(slices)
+        if not residual.any():
+            break
+        u = _slice_quantum(bound, count)
+        column = None
+        # a block at a time, so that only what this slice leaves takes a column
+        for lo in range(0, count, _SQUARE_BLOCK):
+            block = residual[lo : lo + _SQUARE_BLOCK]
+            piece = np.round(block / u) * u
+            block -= piece
+            if block.any():
+                if column is None:
+                    column = np.zeros(count, dtype=np.complex128)
+                column.imag[lo : lo + _SQUARE_BLOCK] = block
+            block[...] = piece
+        bound = count * u / 2
+    return tuple(columns)
 
 
 def _sorted_events(field: FieldSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,14 +299,16 @@ def _event_table(field: FieldSpec, x: int) -> NormEventTable:
     # slicing: the unsorted blocks, held through it, raised the peak of
     # x = 1e7 by 5 MiB
     n, w = _sorted_events(field, x)
-    slices = weight_slices(w)
-    # each slice's sum is exact, so S1 is fsum(w); fsum is exact too, so
-    # summing the squares a block at a time gives the same S2 as at once
-    s1 = math.fsum(piece.sum() for piece in slices)
+    # fsum is exact, so summing the squares a block at a time gives the
+    # same S2 as at once; summed 2^13 at a time before the slices are
+    # peeled, so its floats are gone before the columns are allocated
     blocks = range(0, w.size, _SQUARE_BLOCK)
     squares = (np.square(w[lo : lo + _SQUARE_BLOCK]).tolist() for lo in blocks)
     s2 = math.fsum(itertools.chain.from_iterable(squares))
-    return NormEventTable(n, slices, (s1, s2))
+    columns = weight_slices(w)
+    # each slice's sum is exact, so S1 is fsum(w)
+    s1 = math.fsum(piece.sum() for piece in lanes(columns))
+    return NormEventTable(n, columns, (s1, s2))
 
 
 def norm_events(field: FieldSpec, x: int) -> NormEventTable:

@@ -3,8 +3,9 @@
 The per-residue weight table modulo q accumulates dk * lam over events
 with n = a (mod q).  Every class sum is exact and then rounded once: the
 cached event table (`sieve.norm_events`) holds the weights as slices at
-fixed binary quanta (`sieve.weight_slices`), each slice's class sums are
-exact in any order (`slice_tables`), and `fold` adds the slices.
+fixed binary quanta (`sieve.weight_slices`), two to a complex column;
+each pass scatters every column once (`pass_tables`), so each slice's
+class sums are exact in any order, and `fold` adds the slices.
 Because exact sums do not depend on their grouping, the table modulo q
 folds out of the table modulo any multiple L of q bit for bit.  So the
 tables of every q <= Q come from few passes over the events
@@ -68,20 +69,23 @@ def rel_gap(a, b, floor: float = 1.0) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-#: events whose remainders `slice_tables` holds at a time
+#: events whose remainders `pass_tables` holds at a time
 _BLOCK = 1 << 16
 
 
-def slice_tables(n: np.ndarray, slices: tuple[np.ndarray, ...], modulus: int) -> np.ndarray:
-    """Exact class sums modulo `modulus` of each weight slice (one row each), in one pass over n >= 0.
+def pass_tables(n: np.ndarray, columns: tuple[np.ndarray, ...], modulus: int) -> np.ndarray:
+    """Exact class sums modulo `modulus` of each complex weight column (one row each), in one pass over n >= 0.
 
-    The remainders of one block of 2^16 events at a time are taken in n's
-    dtype (uint32 for the event table) as n - (n // modulus) * modulus,
-    because numpy's floor division by a scalar beats its remainder, and
-    are written into an intp buffer that `bincount` reads without a cast.
+    `columns` is `sieve.weight_slices(w)`: each lane of a row is one
+    slice's class sums, exact in any order.  The remainders of one block
+    of 2^16 events at a time are taken in n's dtype (uint32 for the event
+    table) as n - (n // modulus) * modulus, because numpy's floor
+    division by a scalar beats its remainder, and are written into an
+    intp buffer; `np.add.at` then adds each column's block into its row,
+    both lanes in one scatter.
     """
-    tables = np.zeros((len(slices), modulus))
-    if not slices:
+    tables = np.zeros((len(columns), modulus), dtype=np.complex128)
+    if not columns:
         return tables
     d = n.dtype.type(modulus)
     quotient = np.empty(min(n.size, _BLOCK), dtype=n.dtype)
@@ -91,35 +95,39 @@ def slice_tables(n: np.ndarray, slices: tuple[np.ndarray, ...], modulus: int) ->
         k = np.floor_divide(block, d, out=quotient[: block.size])
         k *= d
         r = np.subtract(block, k, out=residues[: block.size])
-        for table, piece in zip(tables, slices):
-            table += np.bincount(r, weights=piece[lo : lo + _BLOCK], minlength=modulus)
+        for table, column in zip(tables, columns):
+            np.add.at(table, r, column[lo : lo + _BLOCK])
     return tables
 
 
 def fold(tables: np.ndarray, q: int) -> np.ndarray:
-    """Class weights t[a], a = 0..q-1, from the slice tables modulo a multiple L of q.
+    """Class weights t[a], a = 0..q-1, from the pass tables modulo a multiple L of q.
 
-    Each slice's table is folded by summing the rows of its (L / q, q)
-    reshape, which adds exact sums into exact sums, so the result does
-    not depend on L.  The slices are then added from the smallest: with
-    two slices that is one rounding of the exact class sum, so t[a] is
-    the correctly rounded sum of its weights.
+    Each table is folded by summing the rows of its (L / q, q) reshape,
+    lane by lane, which adds exact sums into exact sums, so the result
+    does not depend on L.  The slices are then added from the smallest,
+    in the order of `sieve.lanes`, each row's imaginary lane before its
+    real one (a last imaginary lane of zeros adds nothing; skipping it as
+    `lanes` does cost a fold 10-30% more): with two slices that is one
+    rounding of the exact class sum, so t[a] is the correctly rounded sum
+    of its weights.
     """
     t = np.zeros(q)
     for row in tables.reshape(len(tables), tables.shape[1] // q, q).sum(axis=1)[::-1]:
-        t += row
+        t += row.imag
+        t += row.real
     return t
 
 
-def class_weights(n: np.ndarray, slices: tuple[np.ndarray, ...], q: int) -> np.ndarray:
+def class_weights(n: np.ndarray, columns: tuple[np.ndarray, ...], q: int) -> np.ndarray:
     """Class weights t[a] = sum of w over n = a (mod q), a = 0..q-1, for n >= 0.
 
-    `slices` is `sieve.weight_slices(w)`.  Every class sum is exact
+    `columns` is `sieve.weight_slices(w)`.  Every class sum is exact
     before the slices are combined, so t is independent of the order of
     the events and, with at most two slices, equals a per-class
     `math.fsum` of w.
     """
-    return fold(slice_tables(n, slices, q), q)
+    return fold(pass_tables(n, columns, q), q)
 
 
 #: largest modulus whose t_q the event table holds: orthogonality reads
@@ -148,7 +156,7 @@ def residue_buckets(field: FieldSpec, x: int, q: int) -> np.ndarray:
     ev = norm_events(field, x)
     t = ev.held.get(q)
     if t is None:
-        t = _hold(ev, q, class_weights(ev.n, ev.slices, q))
+        t = _hold(ev, q, class_weights(ev.n, ev.columns, q))
     return t
 
 
@@ -292,13 +300,15 @@ def _pass_plan(Q: int, budget: int) -> list[tuple[int, list[int]]]:
 def _pass_budget(events: int) -> int:
     """Largest pass modulus, beside Q itself, over a table of `events` events.
 
-    A pass costs one scatter of every event per slice, whatever its
-    modulus, so its tables must stay small next to that.  A table of L
-    entries is cleared and added once per block of _BLOCK events
-    (`slice_tables`), and each q of the pass folds all L entries.  So L
-    stays within #events // 16, one entry per 16 events, and within
-    _BLOCK // 2, one entry per two events of a block, whatever the number
-    of events.
+    A pass costs one scatter of every event per complex column, whatever
+    its modulus, so its tables must stay small next to that: each q of
+    the pass folds all L entries.  So L stays within #events // 16, one
+    entry per 16 events, and within _BLOCK // 2, whatever the number of
+    events.  That cap was measured when each block's class sums came in a
+    table of their own, added to the pass's: a cost the scatter into one
+    table (`pass_tables`) no longer has.  With it, caps of 2^14 to 2^16
+    took within 15% of each other at `--field Q --x 1e7` and Q = 1000 or
+    3000, so the cap stays.
     """
     return min(events // 16, _BLOCK // 2)
 
@@ -321,7 +331,7 @@ def _per_q_weights(field: FieldSpec, x: int, Q: int) -> Iterator[tuple[int, np.n
         yield from ((q, ev.held[q]) for q in range(1, Q + 1))
         return
     for L, moduli in _pass_plan(Q, _pass_budget(ev.n.size)):
-        tables = slice_tables(ev.n, ev.slices, L)
+        tables = pass_tables(ev.n, ev.columns, L)
         for q in moduli:
             yield q, _hold(ev, q, fold(tables, q))
 
@@ -365,7 +375,7 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
 
         modulus, dense, sparse = _class_split(field, ev)
         split = (modulus, np.count_nonzero(dense), sparse.size)
-        direct = _direct_bound(x, Q, len(ev), len(ev.slices), split)
+        direct = _direct_bound(x, Q, len(ev), len(ev.columns), split)
     return _variance(field, x, Q, M, direct)
 
 

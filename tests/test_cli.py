@@ -225,13 +225,13 @@ def test_one_schedule_of_passes_per_command(command, label, x, monkeypatch, caps
     Q = 300
     sieve._event_table.cache_clear()
     passes = []
-    slice_tables = stats.slice_tables
+    pass_tables = stats.pass_tables
 
-    def counted(n, slices, modulus):
+    def counted(n, columns, modulus):
         passes.append(modulus)
-        return slice_tables(n, slices, modulus)
+        return pass_tables(n, columns, modulus)
 
-    monkeypatch.setattr(stats, "slice_tables", counted)
+    monkeypatch.setattr(stats, "pass_tables", counted)
     code, _, _ = run(capsys, command, "--field", label, "--x", str(x), "--Q", str(Q))
     assert code == 0
     events = len(nv.norm_events(nv.parse_field(label), x))

@@ -6,6 +6,7 @@ import pytest
 
 import normvar as nv
 from normvar.arith import euler_phi
+from normvar.characters import phase_matrix
 from normvar.fields import kernel_image
 from naive_oracle import naive_closure
 
@@ -72,6 +73,19 @@ def test_annihilator_is_exactly_the_trivial_on_members_set(field):
         for i, chi in enumerate(chars):
             trivial_on_members = all(chi.rotation(a) == 0 for a in rec.members)
             assert (i in rec.annihilator) == trivial_on_members
+
+
+@pytest.mark.parametrize(
+    "label", ["Q", "quad:-1", "quad:5", "quad:-3", "cyclo:5", "cyclo:7", "cyclo:12", "cyclo:16"]
+)
+def test_annihilator_from_generators_matches_full_phase_matrix(label):
+    # the oracle reads every character's phase at every member
+    field = nv.parse_field(label)
+    for q in range(1, 301):
+        rec = nv.norm_class_group(field, q)
+        members = np.array(rec.members)
+        full = np.flatnonzero(~phase_matrix(q)[:, members].any(axis=1))
+        assert rec.annihilator == tuple(full.tolist()), q
 
 
 def test_admissible_count_agrees_with_record(field):

@@ -107,9 +107,12 @@ def _assert_table_matches_columns(field, x):
     assert np.array_equal(table.n, cols.n)
     w = cols.dk * cols.lam
     assert np.array_equal(table.weights(), w)
-    slices = sieve.weight_slices(w)
+    columns = sieve.weight_slices(w)
+    slices = sieve.lanes(columns)
     assert len(table.slices) == len(slices)
     assert all(np.array_equal(mine, theirs) for mine, theirs in zip(table.slices, slices))
+    assert len(table.columns) == len(columns)
+    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(table.columns, columns))
 
 
 def test_table_matches_columns(oracle_field):
@@ -119,7 +122,7 @@ def test_table_matches_columns(oracle_field):
 def test_table_matches_columns_at_large_x():
     field, x = nv.rational_field(), 10**6
     _assert_table_matches_columns(field, x)
-    # 78,498 events: S2 is summed over two blocks of squares
+    # 78,498 events: S2 is summed over ten blocks of squares
     w = nv.norm_events(field, x).weights()
     assert len(w) > sieve._SQUARE_BLOCK
     assert nv.event_moment_sums(field, x) == (math.fsum(w.tolist()), math.fsum((w * w).tolist()))
@@ -132,7 +135,7 @@ def test_event_table_sorted_and_immutable(field):
     with pytest.raises(ValueError):
         table.n[0] = 1
     assert table.slices
-    for piece in table.slices:
+    for piece in (*table.columns, *table.slices):
         with pytest.raises(ValueError):
             piece[0] = 1.0
     # the exchange check rebuilds the weights of a few rows only

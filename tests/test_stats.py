@@ -37,13 +37,27 @@ def _fsum_classes(n, w, q):
     return np.array([math.fsum(ws[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)])
 
 
+def _assert_pass_tables_are_bincounts(n, columns, modulus):
+    """The complex pass tables equal one np.bincount per slice over all events, lane by lane, bit for bit."""
+    slices = sieve.lanes(columns)
+    r = np.asarray(n, dtype=np.int64) % modulus
+    one = [np.bincount(r, weights=s, minlength=modulus) for s in slices]
+    tables = stats.pass_tables(n, columns, modulus)
+    assert tables.dtype == np.complex128 and tables.shape == (len(columns), modulus)
+    table_lanes = [lane for row in tables for lane in (row.real, row.imag)]
+    # an odd count of slices leaves the last imaginary lane without one: it sums to 0
+    assert len(table_lanes) - len(one) == len(slices) % 2
+    one += [np.zeros(modulus)] * (len(slices) % 2)
+    assert all(np.array_equal(lane, ref) for lane, ref in zip(table_lanes, one))
+
+
 def _assert_class_weights_exact(n, w, q):
-    slices = weight_slices(w)
+    columns = weight_slices(w)
+    slices = sieve.lanes(columns)
     assert len(slices) <= 2
     # the blocked tables equal one bincount per slice over all events
-    one = [np.bincount(np.asarray(n, dtype=np.int64) % q, weights=s, minlength=q) for s in slices]
-    assert np.array_equal(stats.slice_tables(n, slices, q), np.array(one).reshape(-1, q))
-    assert np.array_equal(class_weights(n, slices, q), _fsum_classes(n, w, q))
+    _assert_pass_tables_are_bincounts(n, columns, q)
+    assert np.array_equal(class_weights(n, columns, q), _fsum_classes(n, w, q))
 
 
 def test_class_weights_equal_one_bincount(oracle_field, monkeypatch):
@@ -67,38 +81,103 @@ def test_class_weights_without_events():
     ev = nv.norm_events(nv.parse_field("cyclo:11"), 10)
     assert len(ev) == 0
     slices = ev.slices
-    assert slices == () and weight_slices(ev.weights()) == ()
+    assert slices == () and ev.columns == () and weight_slices(ev.weights()) == ()
     for q in (1, 5, 11):
-        assert np.array_equal(class_weights(ev.n, slices, q), np.zeros(q))
+        assert np.array_equal(class_weights(ev.n, ev.columns, q), np.zeros(q))
 
 
 def test_folded_tables_equal_direct_passes(field):
     Q = 300
     ev = nv.norm_events(field, 10**5)
-    slices = ev.slices
+    columns = ev.columns
     for q in range(1, Q + 1):
-        tables = stats.slice_tables(ev.n, slices, q * (Q // q))
-        assert np.array_equal(stats.fold(tables, q), class_weights(ev.n, slices, q)), q
+        tables = stats.pass_tables(ev.n, columns, q * (Q // q))
+        assert np.array_equal(stats.fold(tables, q), class_weights(ev.n, columns, q)), q
+
+
+def _three_slice_weights(rng, size):
+    """Weights near 2^40 and near 1e-5, with full significands: they need a third slice."""
+    w = 1e-5 * (1 + rng.random(size))
+    w[::50] = 2.0**40 * (1 + rng.random(w[::50].size))
+    return w
 
 
 def test_three_slices_fold_exactly_and_round_within_one_ulp():
-    # weights near 2^40 and near 1e-5, with full significands, need a third slice
     rng = np.random.default_rng(7)
     n = rng.integers(0, 10**6, 3000)
-    w = 1e-5 * (1 + rng.random(3000))
-    w[::50] = 2.0**40 * (1 + rng.random(60))
-    slices = weight_slices(w)
+    w = _three_slice_weights(rng, 3000)
+    columns = weight_slices(w)
+    slices = sieve.lanes(columns)
     assert len(slices) == 3
+    # the third slice starts a second column, whose imaginary lane stays zero
+    assert len(columns) == 2 and not columns[1].imag.any()
     assert np.array_equal(sum(slices[::-1]), w)
-    table = nv.NormEventTable(n.astype(np.uint32), slices, (0.0, 0.0))
+    table = nv.NormEventTable(n.astype(np.uint32), columns, (0.0, 0.0))
+    assert len(table.slices) == 3
     assert np.array_equal(table.weights(), w)
     Q = 120
     for q in range(1, Q + 1):
-        direct = class_weights(n, slices, q)
-        folded = stats.fold(stats.slice_tables(n, slices, q * (Q // q)), q)
+        direct = class_weights(n, columns, q)
+        folded = stats.fold(stats.pass_tables(n, columns, q * (Q // q)), q)
         assert np.array_equal(folded, direct)
         ref = _fsum_classes(n, w, q)
         assert np.all(np.abs(direct - ref) <= np.spacing(ref)), q
+
+
+def _slice_cases():
+    """(label, w) with 0, 1, 2 and 3 slices."""
+    rng = np.random.default_rng(11)
+    logs = np.log(rng.integers(2, 10**6, 2000).astype(np.float64))
+    return [
+        ("none", np.zeros(0)),
+        ("zeros", np.zeros(500)),
+        ("one", rng.integers(1, 50, 2000).astype(np.float64)),
+        ("two", logs),
+        ("two-signed", logs * np.where(rng.random(2000) < 0.5, -1.0, 1.0)),
+        ("three", _three_slice_weights(rng, 2000)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "label, slices", [("none", 0), ("zeros", 0), ("one", 1), ("two", 2), ("two-signed", 2), ("three", 3)]
+)
+def test_pass_tables_equal_one_bincount_per_slice(label, slices, monkeypatch):
+    # blocks of 300 events, so every table spans several blocks
+    monkeypatch.setattr(stats, "_BLOCK", 300)
+    w = dict(_slice_cases())[label]
+    n = np.random.default_rng(5).integers(0, 10**6, w.size).astype(np.uint32)
+    columns = weight_slices(w)
+    assert len(sieve.lanes(columns)) == slices
+    assert len(columns) == (slices + 1) // 2
+    for modulus in (1, 2, 7, 60, 997, 4096):
+        _assert_pass_tables_are_bincounts(n, columns, modulus)
+
+
+def _naive_peel(w):
+    """The slices of w, peeled one whole array at a time as `weight_slices` documents them."""
+    count = len(w)
+    bound = count * max((abs(v) for v in w.tolist()), default=0.0)
+    residual, slices = w.copy(), []
+    while residual.any():
+        u = 2.0 ** (math.frexp(bound)[1] - 52)
+        piece = np.round(residual / u) * u
+        residual = residual - piece
+        slices.append(piece)
+        bound = count * u / 2
+    return slices
+
+
+@pytest.mark.parametrize("label", [label for label, _ in _slice_cases()])
+def test_weight_slices_equal_a_naive_peel(label, monkeypatch):
+    # peeled 128 entries at a time into an imaginary lane, so the blocks show
+    monkeypatch.setattr(sieve, "_SQUARE_BLOCK", 128)
+    w = dict(_slice_cases())[label]
+    before = w.copy()
+    naive = _naive_peel(w)
+    slices = sieve.lanes(weight_slices(w))
+    assert np.array_equal(w, before)
+    assert len(slices) == len(naive)
+    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(slices, naive))
 
 
 def test_buckets_unchanged_by_a_variance_run(field):
@@ -224,7 +303,7 @@ def _direct_bound(field, x, Q):
     """`correlation._direct_bound` for the events of field up to x, as `variance` asks it."""
     ev = nv.norm_events(field, x)
     M, dense, sparse = correlation._class_split(field, ev)
-    return correlation._direct_bound(x, Q, len(ev), len(ev.slices), (M, np.count_nonzero(dense), sparse.size))
+    return correlation._direct_bound(x, Q, len(ev), len(ev.columns), (M, np.count_nonzero(dense), sparse.size))
 
 
 def _assert_routed_rows_match_direct(field, x, Q):
@@ -254,7 +333,9 @@ def test_correlation_rows_match_direct_rows_across_small_chunks(label, monkeypat
     # chunks of 64 entries of each class's weights in bands of 3, and spans
     # of 200 entries: blocks straddle chunks, bands and spans.  quad:-5 has
     # four dense classes mod 20; cyclo:7 has M = 14, so a block of 64
-    # entries covers 896 lags
+    # entries covers 896 lags.  Q = 3000: at Q = 2000 one complex scatter
+    # per pass makes the direct passes cheaper than field Q's route at
+    # these small chunks, and the route must be taken to be tested
     monkeypatch.setattr(correlation, "_CHUNK", 64)
     monkeypatch.setattr(correlation, "_BAND", 3)
     monkeypatch.setattr(correlation, "_SPAN", 200)
@@ -262,7 +343,7 @@ def test_correlation_rows_match_direct_rows_across_small_chunks(label, monkeypat
     M = correlation._class_split(field, nv.norm_events(field, x))[0]
     L, chunks = correlation._chunking(x // M)
     assert L == 64 and chunks >= 4
-    _assert_routed_rows_match_direct(field, x, 2000)
+    _assert_routed_rows_match_direct(field, x, 3000)
 
 
 def _with_strays(x):
@@ -564,10 +645,10 @@ def test_event_table_serves_the_checks_from_the_variance_passes(field, monkeypat
     assert sorted(ev.held) == list(range(1, stats._HELD_BOUND + 1))
     for q, t in ev.held.items():
         assert not t.flags.writeable
-        assert np.array_equal(t, class_weights(ev.n, ev.slices, q)), q
+        assert np.array_equal(t, class_weights(ev.n, ev.columns, q)), q
     passes = []
-    slice_tables = stats.slice_tables
-    monkeypatch.setattr(stats, "slice_tables", lambda *a: passes.append(a) or slice_tables(*a))
+    pass_tables = stats.pass_tables
+    monkeypatch.setattr(stats, "pass_tables", lambda *a: passes.append(a) or pass_tables(*a))
     again = nv.variance(field, x, Q)
     assert np.array_equal(again.per_q, report.per_q)
     assert np.array_equal(again.admissible, report.admissible)
@@ -601,7 +682,7 @@ def test_a_new_event_table_holds_nothing(field, monkeypatch):
     monkeypatch.setattr(stats, "norm_events", lambda f, bound: table)
     t = nv.residue_buckets(field, x, q)
     assert table.held[q] is t
-    assert np.array_equal(t, class_weights(table.n, table.slices, q))
+    assert np.array_equal(t, class_weights(table.n, table.columns, q))
     assert cached[6] == cached[10] == 0.0
     assert t[6] == 1.25 and t[10] == 0.75
 
