@@ -17,7 +17,9 @@ members that generate the group.
 Next to the closed form there is an empirical construction, the
 multiplicative closure of actually observed norm residues p^f mod q over
 primes up to a bound; the two must agree once the bound is large enough,
-and tests treat the empirical group as ground truth.
+and tests treat the empirical group as ground truth.  Both close groups
+over Python ints in sets, with no numpy call per coset; the closure takes
+every p^f mod q in one numpy pass and closes over the distinct values.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -83,24 +86,23 @@ def _image_conductor(field: FieldSpec, g: int) -> int:
     return next(d for d in divisors(g) if image[units[units % d == 1 % d]].all())
 
 
-def _generators(q: int, member: np.ndarray) -> list[int]:
-    """Members that generate the group the `member` mask sets, picked greedily in ascending order.
+def _generators(q: int, members: list[int]) -> list[int]:
+    """Members that generate the group they form, picked greedily in ascending order.
 
     A member joins when the closure of those before it misses it; the
-    closure, a boolean mask, then grows by the cosets a^j * H of the
-    subgroup H it held, until a^j falls in H.
+    closure, a set, then grows by the cosets a^j * H of the subgroup H
+    it held, until a^j falls in H.
     """
-    closure = np.zeros(q, dtype=bool)
-    closure[1 % q] = True
+    closure = {1 % q}
     generators = []
-    for a in np.flatnonzero(member).tolist():
-        if closure[a]:
+    for a in members:
+        if a in closure:
             continue
         generators.append(a)
-        # the closure's first entry is 1, so coset[0] is a^j
-        coset = np.flatnonzero(closure)
-        while not closure[(coset := coset * a % q)[0]]:
-            closure[coset] = True
+        subgroup, power = list(closure), a
+        while power not in closure:
+            closure.update(h * power % q for h in subgroup)
+            power = power * a % q
     return generators
 
 
@@ -108,55 +110,63 @@ def _generators(q: int, member: np.ndarray) -> list[int]:
 def norm_class_group(field: FieldSpec, q: int) -> NormClassGroup:
     """Closed-form admissible class group with its character annihilator.
 
-    The annihilator is read at generators of the members alone: a
-    character trivial on them is trivial on the group they generate.
-    If the members were not a group, that group would be larger than
-    `order`, and order * |annihilator| would miss phi(q).  The unit group
-    is built uncached, so its discrete logs are not kept.
+    The annihilator is read at generators of the members alone
+    (`_generators`): a character trivial on them is trivial on the group
+    they generate.  If the members were not a group, that group would be
+    larger than `order`, and order * |annihilator| would miss phi(q).
+    The unit group is built uncached, so its discrete logs are not kept.
     """
     member, _ = residue_masks(field, q)
-    members = np.flatnonzero(member)
-    phases = phase_columns(UnitGroup(q), np.array(_generators(q, member), dtype=np.intp))
-    perp = np.flatnonzero(~phases.any(axis=1))
+    members = np.flatnonzero(member).tolist()
+    phases = phase_columns(UnitGroup(q), np.array(_generators(q, members), dtype=np.intp))
     return NormClassGroup(
         q=q,
-        members=tuple(int(a) for a in members),
-        order=int(members.size),
+        members=tuple(members),
+        order=len(members),
         subfield_conductor=subfield_conductor(field, q),
-        annihilator=tuple(int(i) for i in perp),
+        annihilator=tuple(np.flatnonzero(~phases.any(axis=1)).tolist()),
     )
 
 
 @lru_cache(maxsize=8)
-def _norm_generator_data(field: FieldSpec, prime_bound: int) -> tuple[list[int], list[int]]:
-    """Unramified primes p <= prime_bound and their residue degrees."""
+def _norm_generator_data(field: FieldSpec, prime_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unramified primes p <= prime_bound and their residue degrees, read-only int64."""
     primes = primes_up_to(prime_bound)
     primes = primes[field.conductor % primes != 0]
-    return primes.tolist(), residue_degrees(field)[primes % field.conductor].tolist()
+    degrees = residue_degrees(field)[primes % field.conductor]
+    primes.setflags(write=False)
+    degrees.setflags(write=False)
+    return primes, degrees
 
 
 def norm_class_closure(field: FieldSpec, q: int, prime_bound: int = 10_000) -> tuple[int, ...]:
     """Empirical admissible classes: closure of observed norm residues.
 
-    Multiplies out the subgroup generated by p^f mod q over primes
-    p <= prime_bound with p coprime to both q and the field conductor.
-    Converges to the closed form for a modest bound; if it still looks
-    like a proper subset the bound was too small.
+    Multiplies out the subgroup generated by the distinct p^f mod q over
+    the primes p <= prime_bound prime to the field conductor, taken in one
+    int64 pass by square and multiply over the bits of f (every product
+    is below q^2); the p dividing q, whose residues are the non-units,
+    are skipped.  Converges to the closed form for a modest bound; if it
+    still looks like a proper subset the bound was too small.
     """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     if q == 1:
         return (0,)
+    primes, exps = _norm_generator_data(field, prime_bound)
+    base = primes % q
+    residues = np.where(exps & 1, base, 1)
+    while (exps := exps >> 1).any():
+        base = base * base % q
+        residues = np.where(exps & 1, residues * base % q, residues)
+    seen = np.zeros(q, dtype=bool)
+    seen[residues] = True
     subgroup = {1}
-    for p, f in zip(*_norm_generator_data(field, prime_bound)):
-        if q % p == 0:
-            continue
-        gen = pow(p, f, q)
-        if gen in subgroup:
+    for gen in np.flatnonzero(seen).tolist():
+        if gen in subgroup or math.gcd(gen, q) > 1:
             continue
         # abelian subgroup extension: adjoin the cosets of <gen>
-        reps = []
-        cur = gen
+        reps, cur = [], gen
         while cur not in subgroup:
             reps.append(cur)
             cur = cur * gen % q
@@ -164,22 +174,9 @@ def norm_class_closure(field: FieldSpec, q: int, prime_bound: int = 10_000) -> t
     return tuple(sorted(subgroup))
 
 
-def class_table_rows(field: FieldSpec, moduli) -> list[dict]:
-    """Per-modulus admissible-class summary used by the gq report.
-
-    Returns one dict per q with keys q, phi, phi_K, aq_conductor, members.
-    """
-    rows = []
+def class_table_rows(field: FieldSpec, moduli) -> Iterator[dict]:
+    """Per-modulus rows of the gq report, one q at a time: q, phi, phi_K, aq_conductor, members."""
     for q in moduli:
-        member, _ = residue_masks(field, q)
-        members = [int(a) for a in np.flatnonzero(member)]
-        rows.append(
-            {
-                "q": q,
-                "phi": euler_phi(q),
-                "phi_K": len(members),
-                "aq_conductor": subfield_conductor(field, q),
-                "members": members,
-            }
-        )
-    return rows
+        members = np.flatnonzero(residue_masks(field, q)[0]).tolist()
+        conductor = subfield_conductor(field, q)
+        yield dict(q=q, phi=euler_phi(q), phi_K=len(members), aq_conductor=conductor, members=members)

@@ -197,7 +197,7 @@ def checks_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: rows per block of the `dump-events` and `variance` CSVs
+#: rows per block of the `dump-events`, `variance` and `gq` CSVs
 _CSV_ROWS = 1 << 14
 
 
@@ -225,11 +225,14 @@ def per_q_csv(report: VarianceReport) -> Iterator[str]:
         yield "".join(f"{q},{count},{format_float(c)}\n" for q, count, c in rows)
 
 
-def gq_csv(field: FieldSpec, moduli) -> str:
-    lines = ["q,phi,phi_K,aq_conductor,members"]
-    for row in class_table_rows(field, moduli):
-        members = "-".join(str(a) for a in row["members"])
-        lines.append(
-            f"{row['q']},{row['phi']},{row['phi_K']},{row['aq_conductor']},{members}"
-        )
-    return "\n".join(lines) + "\n"
+def gq_csv(field: FieldSpec, moduli) -> Iterator[str]:
+    """The `gq` CSV in blocks of 2^14 rows, header first; no row is held past its block."""
+    rows = class_table_rows(field, moduli)
+    yield "q,phi,phi_K,aq_conductor,members\n"
+    while block := "".join(map(_gq_row, itertools.islice(rows, _CSV_ROWS))):
+        yield block
+
+
+def _gq_row(row: dict) -> str:
+    members = "-".join(map(str, row["members"]))
+    return f"{row['q']},{row['phi']},{row['phi_K']},{row['aq_conductor']},{members}\n"

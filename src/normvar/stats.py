@@ -49,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import divisors, euler_phi, factorize, moebius
+from .arith import divisors, euler_phi, factorize
 from .characters import DirichletCharacter, character_matrix, primitive_part, unit_mask
 from .fields import FieldSpec
 from .galois import norm_class_group, residue_masks
@@ -436,16 +436,19 @@ def _primitive_square(q: int, t: np.ndarray) -> float:
     conductor divides d, u_d the unit classes of t folded mod d; Moebius
     inversion keeps conductor q.  It cancels the large sums of characters
     trivial on the norm classes (in floats up to 4e-9 of a term was lost),
-    so the dyadic t[a] are summed as integers scaled by 2^s.
+    so the dyadic t[a] are summed as integers scaled by 2^s: Python ints
+    in an object array, folded mod d by one reshape and column sum.
     """
     units = np.where(unit_mask(q), t, 0.0)
     s = 53 - int(np.frexp(units)[1].min())
-    n = [int(v) for v in np.ldexp(units, s).tolist()]
-    total = 0
-    for d in divisors(q):
-        mu = moebius(q // d)
-        if mu:
-            total += mu * euler_phi(d) * sum(u * u for u in (sum(n[c::d]) for c in range(d)))
+    n = np.array([int(v) for v in np.ldexp(units, s).tolist()], dtype=object)
+    total, primes = 0, list(factorize(q))
+    # Moebius inversion needs only d = q / e for squarefree e, mu(e) = (-1)^k
+    for k in range(len(primes) + 1):
+        for e in itertools.combinations(primes, k):
+            d = q // math.prod(e)
+            u = n.reshape(q // d, d).sum(axis=0)
+            total += (-1) ** k * euler_phi(d) * u.dot(u)
     return total / (1 << 2 * s)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import normvar as nv
+from normvar import galois
 from normvar.arith import euler_phi
 from normvar.characters import phase_matrix
 from normvar.fields import kernel_image
@@ -51,6 +52,26 @@ def test_closed_form_matches_naive_closure(oracle_field):
         closed = nv.norm_class_group(field, q).members
         ref = naive_closure(field.variant, field.parameter, q, 3000)
         assert list(closed) == ref, (field.label(), q)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 30, 100, 3000])
+def test_closure_matches_naive_closure_at_starved_bounds(oracle_field, bound):
+    # at B = 2 the one prime 2 divides every even q or is ramified, so an
+    # even q has no generator and its closure is {1}
+    field = oracle_field
+    for q in range(1, 61):
+        ref = naive_closure(field.variant, field.parameter, q, bound)
+        assert list(nv.norm_class_closure(field, q, bound)) == ref, (field.label(), q)
+    assert nv.norm_class_closure(field, 1, bound) == (0,)
+    if bound == 2:
+        assert all(nv.norm_class_closure(field, q, 2) == (1,) for q in range(2, 61, 2))
+
+
+def test_closure_powers_run_past_degree_two():
+    # cyclo:7 has residue degrees up to 6, whose three bits the square and multiply reads
+    _, degrees = galois._norm_generator_data(nv.parse_field("cyclo:7"), 3000)
+    assert degrees.max() == 6 and degrees.dtype == np.int64
+    assert not degrees.flags.writeable
 
 
 def test_closure_with_tiny_bound_is_proper_subset():

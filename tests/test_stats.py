@@ -6,7 +6,8 @@ import pytest
 
 import normvar as nv
 from normvar import correlation, sieve, stats
-from normvar.arith import euler_phi
+from normvar.arith import divisors, euler_phi, moebius
+from normvar.characters import unit_mask
 from normvar.fields import kernel_image
 from normvar.sieve import weight_slices
 from normvar.stats import class_weights
@@ -631,6 +632,34 @@ def test_primitive_square_matches_the_character_route(label):
         assert square == pytest.approx(direct, rel=1e-12), q
     s1 = nv.event_moment_sums(field, x)[0]
     assert stats._primitive_square(1, nv.residue_buckets(field, x, 1)) == s1 * s1
+
+
+def _primitive_square_by_slices(q, t):
+    # the formula the reshape fold replaced: a generator sum per residue of
+    # every divisor, kept as the reference for the exact integer total
+    units = np.where(unit_mask(q), t, 0.0)
+    s = 53 - int(np.frexp(units)[1].min())
+    n = [int(v) for v in np.ldexp(units, s).tolist()]
+    total = 0
+    for d in divisors(q):
+        mu = moebius(q // d)
+        if mu:
+            total += mu * euler_phi(d) * sum(u * u for u in (sum(n[c::d]) for c in range(d)))
+    return total / (1 << 2 * s)
+
+
+@pytest.mark.parametrize("label", ["Q", "quad:-1", "cyclo:12"])
+def test_primitive_square_keeps_the_bits_of_the_slice_sums(label):
+    field = nv.parse_field(label)
+    moduli = []
+    for q, t in stats._per_q_weights(field, 10**5, 300):
+        if q % 4 != 2:
+            assert stats._primitive_square(q, t) == _primitive_square_by_slices(q, t), q
+            moduli.append(q)
+    assert sorted(moduli) == [q for q in range(1, 301) if q % 4 != 2]  # q = 1 among them
+    for q in (1, 12, 300):
+        zero = np.zeros(q)
+        assert stats._primitive_square(q, zero) == _primitive_square_by_slices(q, zero) == 0.0
 
 
 def test_event_table_serves_the_checks_from_the_variance_passes(field, monkeypatch):
