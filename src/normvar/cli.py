@@ -72,17 +72,18 @@ GQ_ORACLE_CAP = 300
 #: peak bytes per residue of `gq --q`, rounded up: q = 10,000,019 peaked
 #: at 1188 MiB, 125 bytes per residue with the interpreter
 GQ_BYTES_PER_RESIDUE = 128
-#: peak bytes per listed member of a `gq --Q` table, rounded up: the CSV
-#: is written in blocks of 2^14 rows, each joined from its row strings, so
-#: from Q = 2000 to Q = 4000 the peak rose by 46 MiB for 3.65e6 more
-#: members, 13 bytes each
-GQ_BYTES_PER_MEMBER = 16
+#: peak bytes per listed member of a `gq --Q` table when the whole table
+#: was held, rounded up: from Q = 2000 to Q = 4000 the peak rose by
+#: 149 MiB for 3.65e6 more members, 43 bytes each.  The table now streams
+#: one row at a time, so its peak no longer grows with the members.
+GQ_BYTES_PER_MEMBER = 48
 # Within EVENT_MEMORY_BUDGET = 2^32 bytes, --q may reach 2^32 / 128 = 2^25.
-# --Q keeps the ceiling it had when the whole table was held at 48 bytes
-# per member.  A table over q <= Q lists sum phi(q) <= Q (Q + 1) / 2
-# members, so at 16 bytes each memory no longer binds it (at most 1.43e9
-# bytes at 13,376; field Q peaked at 553 MiB there).  Its time (8.8 s on
-# field Q) is what a new ceiling would weigh.
+# A table over q <= Q lists sum phi(q) <= Q (Q + 1) / 2 members, so at 48
+# bytes each --Q could reach the largest Q with 48 * Q (Q + 1) / 2 <= 2^32:
+# 13,376 (4.2943e9 bytes; 13,377 needs 4.2950e9).  --Q keeps that ceiling,
+# but memory no longer binds it now that rows stream (field Q peaked at
+# 31.9 MiB there); its time (7.4 s on field Q) is what a new ceiling
+# would weigh.
 GQ_MAX_MODULUS = EVENT_MEMORY_BUDGET // GQ_BYTES_PER_RESIDUE
 GQ_MAX_BOUND = 13_376
 OUTSIDE_MASS_CAP = 50

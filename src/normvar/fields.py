@@ -204,14 +204,17 @@ def _kronecker_row(a: int, m: int) -> np.ndarray:
     return out
 
 
-def _pow_mod(base: np.ndarray, e: int, m: int) -> np.ndarray:
-    """Elementwise base**e mod m for residues below m; exact while m*m fits in int64."""
-    out = np.full(base.shape, 1 % m, dtype=np.int64)
-    while e:
-        if e & 1:
-            out = out * base % m
+def _pow_mod(base: np.ndarray, e, m: int) -> np.ndarray:
+    """Elementwise base**e mod m for residues below m; e >= 0 is a scalar or an array of base's shape.
+
+    Square and multiply over the bits of e; exact while m*m fits in int64
+    (m < 3.04e9).
+    """
+    e = np.asarray(e, dtype=np.int64)
+    out = np.where(e & 1, base, 1 % m)
+    while (e := e >> 1).any():
         base = base * base % m
-        e >>= 1
+        out = np.where(e & 1, out * base % m, out)
     return out
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .arith import divisors, euler_phi
 from .characters import UnitGroup, phase_columns, unit_mask
-from .fields import FieldSpec, kernel_image, residue_degrees
+from .fields import FieldSpec, _pow_mod, kernel_image, residue_degrees
 from .sieve import primes_up_to
 
 
@@ -144,23 +144,21 @@ def norm_class_closure(field: FieldSpec, q: int, prime_bound: int = 10_000) -> t
 
     Multiplies out the subgroup generated by the distinct p^f mod q over
     the primes p <= prime_bound prime to the field conductor, taken in one
-    int64 pass by square and multiply over the bits of f (every product
-    is below q^2); the p dividing q, whose residues are the non-units,
-    are skipped.  Converges to the closed form for a modest bound; if it
-    still looks like a proper subset the bound was too small.
+    int64 pass (`fields._pow_mod`, so q*q must stay below 2^63; the marks
+    of the distinct residues take q bytes); the p dividing q, whose
+    residues are the non-units, are skipped.  Converges to the closed form
+    for a modest bound; if it still looks like a proper subset the bound
+    was too small.
     """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
+    if q * q >= 1 << 63:
+        raise ValueError(f"modulus must have q*q < 2^63, got {q}")
     if q == 1:
         return (0,)
-    primes, exps = _norm_generator_data(field, prime_bound)
-    base = primes % q
-    residues = np.where(exps & 1, base, 1)
-    while (exps := exps >> 1).any():
-        base = base * base % q
-        residues = np.where(exps & 1, residues * base % q, residues)
+    primes, degrees = _norm_generator_data(field, prime_bound)
     seen = np.zeros(q, dtype=bool)
-    seen[residues] = True
+    seen[_pow_mod(primes % q, degrees, q)] = True
     subgroup = {1}
     for gen in np.flatnonzero(seen).tolist():
         if gen in subgroup or math.gcd(gen, q) > 1:
@@ -175,7 +173,10 @@ def norm_class_closure(field: FieldSpec, q: int, prime_bound: int = 10_000) -> t
 
 
 def class_table_rows(field: FieldSpec, moduli) -> Iterator[dict]:
-    """Per-modulus rows of the gq report, one q at a time: q, phi, phi_K, aq_conductor, members."""
+    """Per-modulus rows of the gq report: q, phi, phi_K, aq_conductor, members.
+
+    A generator, one q at a time (it returned a list before rows streamed).
+    """
     for q in moduli:
         members = np.flatnonzero(residue_masks(field, q)[0]).tolist()
         conductor = subfield_conductor(field, q)

@@ -197,7 +197,7 @@ def checks_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: rows per block of the `dump-events`, `variance` and `gq` CSVs
+#: rows per block of the `dump-events` and `variance` CSVs
 _CSV_ROWS = 1 << 14
 
 
@@ -226,11 +226,9 @@ def per_q_csv(report: VarianceReport) -> Iterator[str]:
 
 
 def gq_csv(field: FieldSpec, moduli) -> Iterator[str]:
-    """The `gq` CSV in blocks of 2^14 rows, header first; no row is held past its block."""
-    rows = class_table_rows(field, moduli)
+    """The `gq` CSV, header first, then one string per row; no row is held past its write."""
     yield "q,phi,phi_K,aq_conductor,members\n"
-    while block := "".join(map(_gq_row, itertools.islice(rows, _CSV_ROWS))):
-        yield block
+    yield from map(_gq_row, class_table_rows(field, moduli))
 
 
 def _gq_row(row: dict) -> str:

@@ -118,12 +118,10 @@ def test_gq_table(capsys):
     assert lines[10] == "10,4,1,5,1"
 
 
-def test_gq_csv_blocks_join_to_one_table(monkeypatch, capsys):
-    # blocks of 7 rows, so the 40 rows take six blocks after the header
-    monkeypatch.setattr(reporting, "_CSV_ROWS", 7)
+def test_gq_csv_streams_one_row_per_string(capsys):
     field = nv.parse_field("quad:-1")
     blocks = list(reporting.gq_csv(field, range(1, 41)))
-    assert len(blocks) == 7
+    assert len(blocks) == 41
     rows = []
     for q in range(1, 41):
         rec = nv.norm_class_group(field, q)
@@ -383,9 +381,7 @@ def test_gq_ceilings_are_the_memory_budget():
 
     assert cli.GQ_MAX_MODULUS * cli.GQ_BYTES_PER_RESIDUE <= budget
     assert (cli.GQ_MAX_MODULUS + 1) * cli.GQ_BYTES_PER_RESIDUE > budget
-    # --Q keeps the ceiling memory set when the whole table was held; the
-    # table written in blocks fits the budget there
-    assert table_bytes(cli.GQ_MAX_BOUND) <= budget
+    assert table_bytes(cli.GQ_MAX_BOUND) <= budget < table_bytes(cli.GQ_MAX_BOUND + 1)
 
 
 def test_malformed_field_is_usage_error(capsys):

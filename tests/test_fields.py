@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 import normvar as nv
 from normvar.arith import kronecker
-from normvar.fields import kernel_image
+from normvar.fields import _pow_mod, kernel_image
 from naive_oracle import naive_primes, naive_split
 
 
@@ -177,3 +178,12 @@ def test_isomorphic_fields_give_identical_outputs(labels):
 def test_fieldspec_is_hashable_value_type():
     assert nv.parse_field("quad:5") == nv.quadratic_field(5)
     assert len({nv.parse_field("Q"), nv.rational_field()}) == 1
+
+
+def test_pow_mod_takes_scalar_and_array_exponents():
+    m = 3_000_000_019
+    base = np.array([0, 1, 2, 12345, m - 1], dtype=np.int64)
+    exps = np.array([0, 7, 62, 6, 5], dtype=np.int64)
+    assert _pow_mod(base, exps, m).tolist() == [pow(b, e, m) for b, e in zip(base.tolist(), exps.tolist())]
+    assert _pow_mod(base, 6, m).tolist() == [pow(b, 6, m) for b in base.tolist()]
+    assert _pow_mod(np.zeros(5, dtype=np.int64), 0, 1).tolist() == [0] * 5

@@ -74,6 +74,12 @@ def test_closure_powers_run_past_degree_two():
     assert not degrees.flags.writeable
 
 
+def test_closure_refuses_a_modulus_whose_square_overflows_int64():
+    K = nv.parse_field("quad:-1")
+    with pytest.raises(ValueError, match="q\\*q < 2\\^63"):
+        nv.norm_class_closure(K, 3_037_000_500)
+
+
 def test_closure_with_tiny_bound_is_proper_subset():
     K = nv.parse_field("quad:-1")
     small = set(nv.norm_class_closure(K, 8, 2))
