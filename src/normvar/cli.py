@@ -12,7 +12,7 @@ one is refused before any work.
 Every command reads the events from the one cached table
 (`sieve.norm_events`); `dump-events` derives its CSV columns from it a
 block at a time.  So one event ceiling serves them all:
-`sieve.MAX_SIEVE_LIMIT`, which `primes_up_to` checks before any work.
+`sieve.MAX_SIEVE_LIMIT`, which the sieve checks before any work.
 
 Check registry: each check is one function below that returns a `Check`
 record (name, passed, detail, and the value a variance report embeds)
@@ -250,8 +250,9 @@ def cmd_variance(args) -> int:
 
 def cmd_checks(args) -> int:
     field = _report_field(args)
-    # the events first: built after the class groups, they raised the peak
-    # of `checks --field Q --x 1e6 --Q 300` by 1.4 MiB
+    # the events first: built after the class groups, they raise the peak
+    # of `checks --x 1e6 --Q 300` by 0.06 MiB on Q and 0.15 MiB on quad:-1
+    # (medians of 5 and 3 runs; 1.4 MiB on Q with the sorted build)
     norm_events(field, args.x)
     oracle, index = gq_oracle(field, args.Q, args.B), class_index(field, args.Q)
     ortho, sieve, exchange = standard_checks(field, args.x, min(args.Q, LARGE_SIEVE_CAP))

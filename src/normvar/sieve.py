@@ -9,22 +9,35 @@ weight lam = f * log p (the norm's "von Mangoldt" size, log of the norm
 of the underlying prime ideal).  Ramified primes, the divisors of the
 conductor, contribute through their own (e, f, g) the same way.
 
-For unramified p, f depends only on p modulo the conductor, so it is
-read from one table (`fields.residue_degrees`) and events are generated
-per residue degree with numpy; building the table at x = 10^6 takes
-milliseconds.
+For unramified p, f depends only on p modulo the conductor m, so it is
+read from one table (`fields.residue_degrees`).  An event at p > isqrt(x)
+has k = 1, as p^2 > x, so every event but n = p at an unramified p with
+f = 1 has p <= isqrt(x) or p | m: `_small_events` makes those O(sqrt x)
+rows per residue degree and sorts them.  The rest are the primes
+p > isqrt(x) with f = 1, which the window sieve (`_sieve`, shared with
+`primes_up_to`) yields in ascending order, 2^20 numbers at a time as
+uint32; `_event_stream` keeps only their norms and merges the small rows
+in by rank, so no array of all primes up to x is held and nothing of the
+table's size is sorted.
 
-`_event_parts` is the one generator of events, in unsorted blocks.  The
-statistics read only n, the class sums of the weights w = dk * lam and
-the moments S1 = sum w and S2 = sum w^2, so `norm_events` is the one
-cache of event data: its table holds n as uint32, the weights split
-into slices whose sums are exact in any order (`weight_slices`, two
-float64 slices for every table measured, held as the two lanes of one
-complex128 column: 20 bytes per event), (S1, S2), and the class sums
-of the small moduli that `stats` folds out of them (`held`).  `event_columns` derives all five columns (n, p, k,
-dk, lam) from that table, with no second build: a row is a prime n = p
-with k = 1 and dk = degree unless it is one of the O(sqrt x) powers p^k,
-k >= 2, or a ramified p, which one `_prime_power_rows` search finds.
+The statistics read only n, the class sums of the weights w = dk * lam
+and the moments S1 = sum w and S2 = sum w^2, so `norm_events` is the one
+cache of event data: its table holds n as uint32, the weights split into
+slices whose sums are exact in any order (`weight_slices`, two float64
+slices for every table measured, held as the two lanes of one complex128
+column: 20 bytes per event), (S1, S2), and the class sums of the small
+moduli that `stats` folds out of them (`held`).  The weights are made a
+block at a time (`_weight_blocks`) straight into the column's imaginary
+lane, S2 is summed from it a block at a time, and the slices are peeled
+in place, so the build peaks at the table and one window: a child that
+builds the table of Q peaks above one that only imports normvar by 22.9
+bytes per event at x = 1e7 and by 20.2 at x = 1e8 (see
+`PEAK_BYTES_PER_EVENT`).
+
+`event_columns` derives all five columns (n, p, k, dk, lam) from that
+table, with no second build: a row is a prime n = p with k = 1 and
+dk = degree unless it is one of the O(sqrt x) powers p^k, k >= 2, or a
+ramified p, which one `_prime_power_rows` search finds.
 `event_column_blocks` derives them a block at a time, for the
 `dump-events` CSV.
 """
@@ -43,17 +56,14 @@ from .fields import FieldSpec, residue_degrees, split_type
 
 #: memory a run may spend on the events up to x, at its peak
 EVENT_MEMORY_BUDGET = 4 << 30
-#: peak bytes per event of a variance run, rounded up: `variance --x 1e8
-#: --Q 1` for Q peaked at 340 MiB for the 5.76e6 events (62 bytes each,
-#: with the interpreter) while n was int64, and at 273.6 MiB (50 bytes)
-#: with n as uint32 (from a launcher's `wait4`; building the table alone
-#: peaked at 273.1 MiB).  With the slices peeled in place into complex
-#: columns it peaked at 272.9 MiB (273.0 MiB for the float64 slices in
-#: the same session).  The first event block sets that peak, holding
-#: 242.8 MiB of arrays (`tracemalloc`): the primes (122.8 MiB once sieved),
-#: their residue degrees (162.6 MiB), the primes of one degree, their lam
-#: and w = dk * lam, and their norms as uint32.  The sort holds 220.9 MiB,
-#: and the table left holds 20 bytes per event
+#: peak bytes per event of the build, rounded up: the figure the ceiling
+#: below is derived from.  A child that builds `norm_events(Q, x)` peaks
+#: above one that only imports normvar (launcher `wait4`) by 22.9 bytes per
+#: event at x = 1e7 (665,134 events) and by 20.2 at 1e8 (5,762,859 events,
+#: 138.8 MiB in all): the table's 20 bytes and one window.  The build that
+#: sieved every prime up to x as int64 and sorted all events read 51.7 and
+#: 44.3 (271.2 MiB at 1e8).  64 stays until a run near the ceiling
+#: re-derives the pair
 PEAK_BYTES_PER_EVENT = 64
 # The events up to x are at most the prime powers up to x, fewer than
 # 1.26 x / log x for x > 2477 (pi(x) < 1.25506 x / log x by Rosser and
@@ -77,6 +87,34 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+def _sieve(x: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The primes <= isqrt(x) as int64, and those in (isqrt(x), x] one window at a time.
+
+    The windows come ascending, each of 2^20 numbers struck by the primes
+    up to sqrt(x), as uint32 arrays of their primes: memory stays
+    O(2^20 + sqrt(x)) besides what the caller keeps of them.
+    """
+    if x > MAX_SIEVE_LIMIT:
+        raise ValueError(f"x = {x} exceeds the supported ceiling {MAX_SIEVE_LIMIT}")
+    root = math.isqrt(x)
+    base = _simple_sieve(root)
+    return base, _windows(x, root + 1, base.tolist())
+
+
+def _windows(x: int, lo: int, base: list[int]) -> Iterator[np.ndarray]:
+    """The primes in [lo, x] (uint32), _WINDOW numbers at a time, for lo > sqrt(x) and `base` the primes <= sqrt(x)."""
+    while lo <= x:
+        hi = min(lo + _WINDOW, x + 1)
+        mask = np.ones(hi - lo, dtype=bool)
+        for p in base:
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start < hi:
+                mask[start - lo :: p] = False
+        # lo <= x <= MAX_SIEVE_LIMIT < 2^32, so the sum stays uint32
+        yield np.flatnonzero(mask).astype(np.uint32) + lo
+        lo = hi
+
+
 def primes_up_to(x: int) -> np.ndarray:
     """All primes <= x, ascending, as an int64 array.
 
@@ -90,25 +128,10 @@ def primes_up_to(x: int) -> np.ndarray:
     Returns:
         numpy int64 array of primes in ascending order.
     """
-    if x > MAX_SIEVE_LIMIT:
-        raise ValueError(f"x = {x} exceeds the supported ceiling {MAX_SIEVE_LIMIT}")
     if x < 2:
         return np.empty(0, dtype=np.int64)
-    root = math.isqrt(x)
-    base = _simple_sieve(root)
-    chunks = [base]
-    base_list = base.tolist()
-    lo = root + 1
-    while lo <= x:
-        hi = min(lo + _WINDOW, x + 1)
-        mask = np.ones(hi - lo, dtype=bool)
-        for p in base_list:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                mask[start - lo :: p] = False
-        chunks.append(np.flatnonzero(mask).astype(np.int64) + lo)
-        lo = hi
-    return np.concatenate(chunks)
+    base, windows = _sieve(x)
+    return np.concatenate([base, *windows], dtype=np.int64)
 
 
 class NormEventTable:
@@ -173,26 +196,72 @@ def _event_arrays(x: int, primes: np.ndarray, f: int, g: int) -> Iterator[tuple]
         j += 1
 
 
-def _event_parts(field: FieldSpec, x: int) -> Iterator[tuple]:
-    """Event blocks (n, w) per residue degree, unsorted: the one event generator."""
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    primes = primes_up_to(x)
+def _small_events(field: FieldSpec, x: int, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n (uint32) and w = dk * lam of the events at the primes `base` <= isqrt(x) and at the ramified p, sorted by n.
+
+    Every other event is n = p > isqrt(x) at an unramified p with f = 1,
+    as p^2 > x: O(sqrt x) rows besides those.
+    """
     # f is 0 exactly at the ramified primes, the divisors of the conductor
-    f_of_p = residue_degrees(field)[primes % field.conductor]
-    for f in np.unique(f_of_p).tolist():
-        if f:
-            yield from _event_arrays(x, primes[f_of_p == f], f, field.degree // f)
+    f_of_p = residue_degrees(field)[base % field.conductor]
+    parts = [
+        part
+        for f in np.flatnonzero(np.bincount(f_of_p)).tolist()
+        if f
+        for part in _event_arrays(x, base[f_of_p == f], f, field.degree // f)
+    ]
     for p in factorize(field.conductor):
         if p <= x:
             s = split_type(field, p)
-            yield from _event_arrays(x, np.array([p], dtype=np.int64), s.f, s.g)
+            parts.extend(_event_arrays(x, np.array([p], dtype=np.int64), s.f, s.g))
+    n = np.concatenate([np.empty(0, dtype=np.int64), *(n for n, _ in parts)])
+    w = np.concatenate([np.empty(0), *(w for _, w in parts)])
+    order = np.argsort(n, kind="stable")
+    return n[order].astype(np.uint32), w[order]
+
+
+def _weight_blocks(degree: int, n: np.ndarray, rows: np.ndarray, small_w: np.ndarray) -> Iterator[np.ndarray]:
+    """The weights of the events n, _SQUARE_BLOCK at a time: degree * log n, or small_w at `rows`."""
+    for lo in range(0, n.size, _SQUARE_BLOCK):
+        block = n[lo : lo + _SQUARE_BLOCK]
+        # g * (f * log p) at f = 1, g = degree, as _event_arrays makes it
+        w = degree * np.log(block.astype(np.float64))
+        at = slice(*np.searchsorted(rows, (lo, lo + block.size)).tolist())
+        w[rows[at] - lo] = small_w[at]
+        yield w
+
+
+def _event_stream(field: FieldSpec, x: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """n (uint32) of every event up to x, ascending, and their weights w = dk * lam a block at a time.
+
+    The primes p > isqrt(x) with f = 1 come from the sieve in order, a
+    window at a time, so only their norms are held and never sorted; the
+    O(sqrt x) other events are merged in by their ranks.
+    """
+    if x < 2:
+        raise ValueError(f"x must be >= 2, got {x}")
+    base, windows = _sieve(x)
+    small_n, small_w = _small_events(field, x, base)
+    split, m = residue_degrees(field) == 1, field.conductor
+    # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld); the
+    # pages past the primes are never written, so they take no memory,
+    # where windows held in a list left their heap behind (16 MiB at 1e8)
+    large = np.empty(int(1.25506 * x / math.log(x)) + 1, dtype=np.uint32)
+    count = 0
+    for p in windows:
+        p = p[split[p % m]]
+        large[count : count + p.size] = p
+        count += p.size
+    large = large[:count]
+    at = np.searchsorted(large, small_n)
+    n = np.insert(large, at, small_n)
+    return n, _weight_blocks(field.degree, n, at + np.arange(at.size), small_w)
 
 
 #: a sum of multiples of a power of two u is exact while it stays below 2^53 u
 _EXACT_UNITS = 2.0**53
-#: weights squared and summed at a time for S2, and peeled at a time into
-#: an imaginary lane
+#: weights made, squared and summed for S2, and peeled into an imaginary
+#: lane, at a time
 _SQUARE_BLOCK = 1 << 13
 
 
@@ -243,13 +312,19 @@ def weight_slices(w: np.ndarray) -> tuple[np.ndarray, ...]:
     imaginary lane.  A third slice thus starts a second column, whose
     imaginary lane stays zero unless a fourth follows.
     """
+    column = np.empty(w.size, dtype=np.complex128)
+    column.imag = w
+    return _peel(column)
+
+
+def _peel(column: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The slices of the weights w held in `column`'s imaginary lane, peeled in place as `weight_slices` says."""
+    w = column.imag
+    if not w.any():
+        return ()
     count = w.size
     bound = count * max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
     columns = []
-    column = None
-    if w.any():
-        column = np.empty(count, dtype=np.complex128)
-        column.imag = w
     while column is not None:
         columns.append(column)
         residual, piece = column.imag, column.real
@@ -277,35 +352,21 @@ def weight_slices(w: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(columns)
 
 
-def _sorted_events(field: FieldSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """n (uint32) and w = dk * lam of every event up to x, sorted by n."""
-    n_blocks, w_blocks = [np.empty(0, dtype=np.uint32)], [np.empty(0)]
-    for n, w in _event_parts(field, x):
-        n_blocks.append(n.astype(np.uint32))
-        w_blocks.append(w)
-    # _event_parts has checked x <= MAX_SIEVE_LIMIT, so every n <= x fits
-    assert x <= MAX_SIEVE_LIMIT < 2**32
-    n = np.concatenate(n_blocks)
-    order = np.argsort(n, kind="stable")
-    # the unsorted n goes before w is sorted: held through it, the sort of
-    # x = 1e8 held 242.9 MiB of arrays, as much as the first event block
-    n = n[order]
-    return n, np.concatenate(w_blocks)[order]
-
-
 @lru_cache(maxsize=16)
 def _event_table(field: FieldSpec, x: int) -> NormEventTable:
-    # the unsorted columns are released with _sorted_events' frame before
-    # slicing: the unsorted blocks, held through it, raised the peak of
-    # x = 1e7 by 5 MiB
-    n, w = _sorted_events(field, x)
+    n, blocks = _event_stream(field, x)
+    column = np.empty(n.size, dtype=np.complex128)
+    w = column.imag
+    lo = 0
+    for block in blocks:
+        w[lo : lo + block.size] = block
+        lo += block.size
     # fsum is exact, so summing the squares a block at a time gives the
-    # same S2 as at once; summed 2^13 at a time before the slices are
-    # peeled, so its floats are gone before the columns are allocated
-    blocks = range(0, w.size, _SQUARE_BLOCK)
-    squares = (np.square(w[lo : lo + _SQUARE_BLOCK]).tolist() for lo in blocks)
+    # same S2 as at once
+    starts = range(0, n.size, _SQUARE_BLOCK)
+    squares = (np.square(w[lo : lo + _SQUARE_BLOCK]).tolist() for lo in starts)
     s2 = math.fsum(itertools.chain.from_iterable(squares))
-    columns = weight_slices(w)
+    columns = _peel(column)
     # each slice's sum is exact, so S1 is fsum(w)
     s1 = math.fsum(piece.sum() for piece in lanes(columns))
     return NormEventTable(n, columns, (s1, s2))

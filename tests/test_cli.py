@@ -77,7 +77,7 @@ def test_dump_events_reads_the_cached_table(monkeypatch, capsys):
     def never(*_):
         raise AssertionError("built the events a second time")
 
-    monkeypatch.setattr(sieve, "_event_parts", never)
+    monkeypatch.setattr(sieve, "_event_stream", never)
     code, after, _ = run(capsys, "dump-events", "--field", "cyclo:12", "--x", "50000")
     assert code == 0 and after == before
 

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import normvar as nv
 from normvar import sieve
+from normvar.arith import factorize, int_kth_root
+from normvar.fields import residue_degrees
+from conftest import ORACLE_LABELS
 from naive_oracle import naive_events, naive_primes
 
 LOG2, LOG3, LOG5, LOG7 = math.log(2), math.log(3), math.log(5), math.log(7)
@@ -143,6 +150,108 @@ def test_event_table_sorted_and_immutable(field):
     assert np.array_equal(table.weights(rows), table.weights()[rows])
 
 
+def _parts_by_degree(field, x):
+    # the build the ascending stream replaced, kept as the reference for
+    # the table's bits: every prime up to x (here by one dense sieve),
+    # grouped by residue degree, then the ramified p, in unsorted blocks
+    primes = sieve._simple_sieve(x)
+    f_of_p = residue_degrees(field)[primes % field.conductor]
+    groups = [(primes[f_of_p == f], f, field.degree // f) for f in np.unique(f_of_p).tolist() if f]
+    for p in factorize(field.conductor):
+        if p <= x:
+            s = nv.split_type(field, p)
+            groups.append((np.array([p], dtype=np.int64), s.f, s.g))
+    for group, f, g in groups:
+        for k in range(f, int(math.log2(x)) + 1, f):
+            sel = group[group <= int_kth_root(x, k)]
+            if sel.size:
+                lam = f * np.log(sel.astype(np.float64))
+                yield (sel**k if k > 1 else sel), g * lam
+
+
+def _reference_table(field, x):
+    parts = list(_parts_by_degree(field, x))
+    n = np.concatenate([np.empty(0, dtype=np.uint32), *(n.astype(np.uint32) for n, _ in parts)])
+    order = np.argsort(n, kind="stable")
+    w = np.concatenate([np.empty(0), *(w for _, w in parts)])[order]
+    columns = sieve.weight_slices(w)
+    s1 = math.fsum(piece.sum() for piece in sieve.lanes(columns))
+    return n[order], columns, (s1, math.fsum(np.square(w).tolist()))
+
+
+def _assert_table_is_the_reference(label, x):
+    field = nv.parse_field(label)
+    table = sieve._event_table.__wrapped__(field, x)
+    n, columns, moments = _reference_table(field, x)
+    assert table.n.dtype == np.uint32 and np.array_equal(table.n, n), (label, x)
+    assert len(table.columns) == len(columns), (label, x)
+    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(table.columns, columns)), (label, x)
+    assert table.moments == moments, (label, x)
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_table_is_bit_identical_to_the_sorted_build(label):
+    for x in (2, 3, 4, 10, 50, 2000):
+        _assert_table_is_the_reference(label, x)
+
+
+@pytest.mark.parametrize("segment", [64, 1000])
+def test_table_is_independent_of_the_window(segment, monkeypatch):
+    monkeypatch.setattr(sieve, "_WINDOW", segment)
+    for label in ORACLE_LABELS:
+        _assert_table_is_the_reference(label, 30_000)
+
+
+@pytest.mark.parametrize("label", ["Q", "quad:-1", "cyclo:12"])
+def test_table_across_window_boundaries(label):
+    # two full 2^20 windows and a partial third above sqrt(x)
+    _assert_table_is_the_reference(label, 3 * 2**20 + 17)
+
+
+@pytest.mark.parametrize("label, x", [("quad:13", 50), ("cyclo:20", 10), ("cyclo:1009", 10**5)])
+def test_table_with_a_ramified_prime_above_the_root(label, x):
+    # 13 > isqrt(50), 5 > isqrt(10) and 1009 > isqrt(1e5) are rows merged
+    # into the sieved primes, not taken from them
+    assert max(factorize(nv.parse_field(label).conductor)) > math.isqrt(x)
+    _assert_table_is_the_reference(label, x)
+
+
+_PEAKS = """
+import os
+
+def child(build):
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        import normvar as nv
+        events = len(nv.norm_events(nv.rational_field(), 10**7)) if build else 0
+        os.write(write, str(events).encode())
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        events = int(pipe.read())
+    return events, os.wait4(pid, 0)[2].ru_maxrss
+
+events, built = child(True)
+print(events, built, child(False)[1])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB and os.fork")
+def test_event_build_peaks_near_its_table():
+    # both children fork from a new interpreter, not from this process: a
+    # forked child's peak starts at its parent's.  The table holds 20 bytes
+    # per event; the sorted build peaked at about 52 bytes per event
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAKS], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    events, built, bare = map(int, proc.stdout.split())
+    assert events == 665_134
+    assert (built - bare) * 1024 <= 40 * events
+
+
 def test_events_rejects_tiny_x(field):
     with pytest.raises(ValueError):
         nv.norm_events(field, 1)
@@ -177,7 +286,8 @@ def test_second_moment_is_rounded_once_across_blocks(monkeypatch):
     # all three blocks sum to 3 + 3 * 2^-53, which rounds up to 3 + 2^-51
     w = np.array([1.0, 2.0**-27, 2.0**-27] * 3)
     monkeypatch.setattr(sieve, "_SQUARE_BLOCK", 3)
-    monkeypatch.setattr(sieve, "_sorted_events", lambda field, x: (np.arange(9, dtype=np.uint32), w))
+    blocks = (w[lo : lo + 3] for lo in range(0, 9, 3))
+    monkeypatch.setattr(sieve, "_event_stream", lambda field, x: (np.arange(9, dtype=np.uint32), blocks))
     table = sieve._event_table.__wrapped__(nv.rational_field(), 10)
     assert table.moments == (math.fsum(w.tolist()), 3 + 2.0**-51)
 
