@@ -75,50 +75,63 @@ def _powers(g: int, order: int, pp: int) -> np.ndarray:
     return (table % pp).ravel()[:order]
 
 
-def _dlog_columns(
-    local: list[tuple[int, int, int]], pp: int, res: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Discrete logs of res modulo pp against the (generator, order, base) factors in `local`.
+def _local_factors(p: int, a: int) -> list[tuple[int, int, int]]:
+    """The cyclic factors (generator, order, base) of (Z/p^a)^*, a >= 1."""
+    pp = p**a
+    if p == 2:
+        return [(pp - 1, 2, 1), (5, pp // 4, 2)][: a - 1]
+    return [(primitive_root(pp), euler_phi(pp), 1)]
 
-    One column per factor, 0 at non-units.  The unit g_1^e_1 * g_2^e_2 * ...
-    sits at index (e_1, e_2, ...) of the outer product of the factors' powers.
+
+@lru_cache(maxsize=256)  # the checks read q <= 300: about 80 prime powers
+def _local_logs(p: int, a: int) -> np.ndarray:
+    """Discrete logs of every residue modulo p^a against `_local_factors(p, a)`; shape (p^a, factors), read-only.
+
+    0 at non-units.  The unit g_1^e_1 * g_2^e_2 * ... sits at index
+    (e_1, e_2, ...) of the outer product of the factors' powers.
     """
-    if not local:  # (Z/2)^* is trivial
-        return ()
-    powers = (_powers(g, order, pp) for g, order, _ in local)
-    elems = reduce(lambda u, v: np.multiply.outer(u, v) % pp, powers)
-    flat = np.zeros(pp, dtype=np.int64)
-    flat[elems.ravel()] = np.arange(elems.size)
-    return np.unravel_index(flat[res % pp], elems.shape)
+    pp, local = p**a, _local_factors(p, a)
+    logs = np.zeros((pp, len(local)), dtype=np.int64)
+    if local:  # (Z/2)^* is trivial
+        powers = (_powers(g, order, pp) for g, order, _ in local)
+        elems = reduce(lambda u, v: np.multiply.outer(u, v) % pp, powers)
+        logs[elems.ravel()] = np.stack(np.unravel_index(np.arange(elems.size), elems.shape), axis=1)
+    logs.setflags(write=False)
+    return logs
+
+
+def _residue_logs(q: int, residues: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """(orders, logs): the orders of the cyclic factors of (Z/qZ)^* and the discrete logs of `residues` against them.
+
+    Each prime power p^a of q gives its factors' columns from its cached
+    table (`_local_logs`) at residues mod p^a: by CRT those are the logs
+    against the lifted generators.  One row per residue, 0 at non-units.
+    """
+    orders, columns = [], []
+    for p, a in factorize(q).items():
+        orders.extend(order for _, order, _ in _local_factors(p, a))
+        columns.append(_local_logs(p, a)[residues % p**a])
+    if not columns:
+        return (), np.zeros((len(residues), 0), dtype=np.int64)
+    return tuple(orders), np.concatenate(columns, axis=1)
 
 
 class UnitGroup:
-    """Cyclic decomposition of (Z/qZ)^* with per-residue discrete logs."""
+    """Cyclic decomposition of (Z/qZ)^*; discrete logs come from `_residue_logs`."""
 
-    __slots__ = ("q", "components", "exponent", "dlog", "coprime")
+    __slots__ = ("q", "components", "exponent", "coprime")
 
     def __init__(self, q: int):
         if q < 1:
             raise ValueError(f"modulus must be >= 1, got {q}")
         self.q = q
-        res = np.arange(q, dtype=np.int64)
         self.coprime = unit_mask(q)
-        comps: list[_Component] = []
-        cols: list[np.ndarray] = []
-        for p, a in factorize(q).items():
-            pp = p**a
-            if p == 2:
-                # (generator, order, base) modulo 2^a
-                local = [(pp - 1, 2, 1), (5, pp // 4, 2)][: a - 1]
-            else:
-                local = [(primitive_root(pp), euler_phi(pp), 1)]
-            comps.extend(_Component(p, self._lift(g, pp), order, base) for g, order, base in local)
-            cols.extend(_dlog_columns(local, pp, res))
-        self.components = tuple(comps)
-        self.exponent = math.lcm(*(c.order for c in comps))
-        dlog = np.stack(cols, axis=1) if cols else np.zeros((q, 0), dtype=np.int64)
-        dlog.setflags(write=False)
-        self.dlog = dlog
+        self.components = tuple(
+            _Component(p, self._lift(g, p**a), order, base)
+            for p, a in factorize(q).items()
+            for g, order, base in _local_factors(p, a)
+        )
+        self.exponent = math.lcm(*(c.order for c in self.components))
 
     def _lift(self, g: int, pp: int) -> int:
         """CRT lift: congruent to g mod pp and to 1 mod q/pp."""
@@ -139,7 +152,7 @@ class UnitGroup:
         r = n % self.q
         if not self.coprime[r]:
             return None
-        return tuple(int(v) for v in self.dlog[r])
+        return tuple(_residue_logs(self.q, np.array([r]))[1][0].tolist())
 
 
 @lru_cache(maxsize=1024)
@@ -245,21 +258,22 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     )
 
 
-def phase_columns(group: UnitGroup, residues: np.ndarray) -> np.ndarray:
-    """Integer phases of every character of `group` at the given residues; shape (phi(q), len(residues)).
+def phase_columns(q: int, residues: np.ndarray) -> np.ndarray:
+    """Integer phases of every character modulo q at the given residues; shape (phi(q), len(residues)).
 
     Row i belongs to enumerate_characters(q)[i] and holds k with value
     exp(2 pi i k / exponent) at each unit; entries at non-units are
-    meaningless.
+    meaningless.  The discrete logs come from the cached prime-power
+    tables (`_residue_logs`), so no unit group modulo q is built.
     """
-    big = group.exponent
-    dlog = group.dlog[residues]
+    orders, dlog = _residue_logs(q, residues)
+    big = math.lcm(*orders)
     phases = np.zeros((1, len(dlog)), dtype=np.int64)
-    # one component at a time, its exponent varying fastest: the row order
+    # one factor at a time, its exponent varying fastest: the row order
     # of itertools.product in enumerate_characters
-    for comp, column in zip(group.components, dlog.T):
-        steps = np.arange(comp.order, dtype=np.int64)[:, None] * (column * (big // comp.order))
-        phases = ((phases[:, None, :] + steps) % big).reshape(len(phases) * comp.order, len(dlog))
+    for order, column in zip(orders, dlog.T):
+        steps = np.arange(order, dtype=np.int64)[:, None] * (column * (big // order))
+        phases = ((phases[:, None, :] + steps) % big).reshape(len(phases) * order, len(dlog))
     return phases
 
 
@@ -268,7 +282,7 @@ def phase_matrix(q: int) -> np.ndarray:
 
     Shape (phi(q), q).
     """
-    return phase_columns(unit_group(q), np.arange(q))
+    return phase_columns(q, np.arange(q))
 
 
 # a few entries: the checks read the matrices of small moduli again and

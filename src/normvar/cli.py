@@ -19,8 +19,9 @@ record (name, passed, detail, and the value a variance report embeds)
 over one scope, stated in its docstring.  `standard_checks` returns
 orthogonality, large-sieve and char-exchange: `variance` embeds them in
 its `checks` block, then runs outside-mass and dyadic-partition on its
-own report; `checks` runs gq-oracle and class-index before them and
-lists outside-mass after orthogonality.  `_finish` prints one PASS/FAIL
+own report, and route-agreement when the report routed some q;
+`checks` runs gq-oracle and class-index before them and lists
+outside-mass after orthogonality.  `_finish` prints one PASS/FAIL
 line per check to stderr and picks the exit status for both.
 
 Every modulus that orthogonality, char-exchange and the `variance` large
@@ -97,6 +98,7 @@ VARIANCE_BLOCK_KEYS = {
     "orthogonality": "orthogonality_max_gap",
     "large-sieve": "large_sieve_holds",
     "char-exchange": "lemma2_max_gap",
+    "route-agreement": "route_agreement_max_gap",
 }
 
 
@@ -208,6 +210,19 @@ def dyadic_partition(report) -> Check:
     return Check("dyadic-partition", gap <= REL_TOL, f"relative gap {format_float(gap, 3)}")
 
 
+def route_agreement(report) -> Check | None:
+    """Routed rows against one direct pass each, at the q of `report.route_agreement`; None if nothing routed."""
+    agreement = report.route_agreement
+    if agreement is None:
+        return None
+    detail = (
+        f"max gap {format_float(agreement.gap, 3)} at q={agreement.q} over the routed"
+        f" q={list(agreement.moduli)}; cross-route, over one event table, not an"
+        " independent oracle"
+    )
+    return Check("route-agreement", agreement.gap <= REL_TOL, detail, agreement.gap)
+
+
 def standard_checks(field, x: int, cap: int) -> list[Check]:
     """Orthogonality, large-sieve up to cap and char-exchange: the checks a variance report embeds."""
     sieve = large_sieve(field, x, cap)  # first: its passes hold every t_q the other two read
@@ -237,15 +252,17 @@ def cmd_variance(args) -> int:
     field = _report_field(args)
     report = variance(field, args.x, args.Q, M=args.M)
     checks = standard_checks(field, args.x, min(args.Q, VARIANCE_LARGE_SIEVE_CAP))
+    agreement = route_agreement(report)
+    routed = [] if agreement is None else [agreement]
     if args.format == "json":
         config = run_config(field, x=args.x, Q=args.Q, M=args.M, format=args.format)
-        block = {VARIANCE_BLOCK_KEYS[c.name]: c.value for c in checks}
+        block = {VARIANCE_BLOCK_KEYS[c.name]: c.value for c in checks + routed}
         _write(args.out, json_text(variance_payload(report, config, block)))
     else:
         _write(args.out, per_q_csv(report))
     V, ratio = format_float(report.total), format_float(report.ratio_bdh)
     print(f"variance: V = {V} ratio_bdh = {ratio}", file=sys.stderr)
-    return _finish(checks + [outside_mass(report), dyadic_partition(report)])
+    return _finish(checks + [outside_mass(report), dyadic_partition(report)] + routed)
 
 
 def cmd_checks(args) -> int:

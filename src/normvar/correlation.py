@@ -1,7 +1,8 @@
-"""The correlation route: the variance rows of every q > isqrt(x) at once.
+"""The correlation route: the variance rows of every q above a floor K at once.
 
 The variance report needs only the sum of squares of t_q over the
-admissible classes, and for q > sqrt(x) this module takes it from the
+admissible classes, and for q > K = `stats.route_floor(x)` (isqrt(x) // 2
+up to x = 1e7, isqrt(x) above) this module takes it from the
 autocorrelation R(h) = sum of w_n * w_{n+h}: the squares of all classes
 mod q sum to R(0) + 2 * sum over j >= 1 of R(jq) (`_lag_sums`).  R is
 built one unit class mod M = lcm(m, 2) at a time (`_class_split`):
@@ -10,19 +11,29 @@ unit class b mod M with b mod m in H, so the weights of each such class
 form a sequence of length x / M, and each ordered pair of classes gives
 R at the lags of one residue mod M from one blocked cross-correlation
 (`_autocorrelation_blocks`), holding a few MiB of spectra whatever x; the
-few other events add their pairs directly (`_sparse_lags`).  The classes
+few other events add their pairs in place (`_sparse_lags`).  The classes
 that are not admissible are taken off from the few events they can hold
-(`_correlation_rows`).  `_direct_bound` routes the q > isqrt(x) here when
-that costs less than their passes over the events (`stats._per_q_weights`).
+(`_correlation_rows`).  `_direct_bound` routes the q > K here when that
+costs less than their passes over the events (`stats._per_q_weights`).
 
-`stats.variance` imports this module only when Q > isqrt(x), so a run
-whose moduli all stay below sqrt(x) does not compile it.
+The floor is measured.  Over every q > isqrt(x) // 2 on Q, quad:-1,
+quad:5, cyclo:5 and cyclo:12 the worst relative gap of a routed row to
+the direct one read 1.6e-11 at x = 1e6 (q = 504) and 6.0e-11 at x = 1e7
+(q = 1610), 16x inside 1e-9; over every oracle field it read 1.5e-12
+at x = 1e4 and 4.3e-12 at 1e5.  The least floor with a 10x margin grew
+about as x^0.9 (168 at 1e6, 1290 at 1e7), so above the measured x the
+floor stays at isqrt(x).  Each routed report recomputes a few rows by
+direct passes (`_route_agreement`).
+
+`stats.variance` imports this module only when Q > K, so a run whose
+moduli all stay at or below the floor does not compile it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +41,7 @@ import numpy as np
 from .arith import divisors, euler_phi
 from .fields import FieldSpec, kernel_image
 from .sieve import NormEventTable, _prime_power_rows, norm_events, primes_up_to
-from .stats import _pass_budget, _pass_count
+from .stats import _direct_row, _pass_budget, _pass_count, class_weights, rel_gap, route_floor
 
 #: chunk length of the blocked correlations: each chunk of one unit
 #: class's weights is transformed at 2 * _CHUNK points
@@ -41,6 +52,10 @@ _BAND = 16
 #: over about h / K values of j at lag h, whatever its length: adding each
 #: _CHUNK block directly took 1.3-1.6x as long at x = 1e6, Q = 1e4
 _SPAN = 1 << 16
+#: lags of the sparse pairs that `_lag_sums` adds at a time: the ranges an
+#: add loops over fall with the number of spans, and the pairs are added
+#: in place, so a wide span costs its 2 MiB and no list of pairs
+_SPARSE_SPAN = 1 << 18
 
 
 def _chunking(x: int) -> tuple[int, int]:
@@ -74,21 +89,23 @@ def _direct_bound(x: int, Q: int, events: int, columns: int, split: tuple[int, i
     `columns` counts the complex weight columns of the event table (one
     for every table measured), and `split` is (M, number of dense
     classes, number of sparse events) of `_class_split`.  The routing
-    rule: the moduli q > K = isqrt(x) take the correlation route (`_correlation_rows`) when it costs less than the
-    direct work it replaces, else every q <= Q stays on the direct
-    passes.  Below sqrt(x), t_q is large next to its deviation, and the
-    route's squares cancel too much.  Costs are counted in steps of about
-    1 ns on the 2-vCPU machine where the weights below were measured:
+    rule: the moduli q > K = `route_floor(x)` take the correlation route
+    (`_correlation_rows`) when it costs less than the direct work it
+    replaces, else every q <= Q stays on the direct passes.  Below the
+    floor, t_q is large next to its deviation, and the route's squares
+    cancel too much.  Costs are counted in steps of about 1 ns on the
+    2-vCPU machine where the weights below were measured:
       * the route (`_lag_sums`): per ordered pair of dense classes, about
         chunks^2 / _BAND + 2 * chunks transforms of 2L points over the
         x / M entries of a class, each at 1.5 steps per point and log2 of
         the length for the transform and its products, plus 40,000 for its
         chunk and calls (one of 2^14 points took 250-470 us at x = 1e6 to
         1e7, one of 2^11 points 91 us); per sparse event, its pairs with
-        every event at 30 steps each (15-48 ns); and the ranges that `_lag_sums`
-        adds, at 4,000 steps each (3-4 us): the i-th of s spans reaches the
-        lag i x / s, so it adds up to i x / (s K) ranges, x (s + 1) / (2K)
-        for the s spans of a pair's x / M entries or of the sparse lags;
+        every event at 8 steps each (7.6-12.5 ns, added in place); and the
+        ranges that `_lag_sums` adds, at 3,000 steps each (2.7-4.1 us): the
+        i-th of s spans reaches the lag i x / s, so it adds up to
+        i x / (s K) ranges, x (s + 1) / (2K) for the s spans of a pair's
+        x / M entries or of the sparse lags;
       * the direct passes it replaces: those `_pass_plan` makes for q <= Q
         beyond those it makes for q <= K, each one scatter of every event per
         complex column, both slices at once, at 5 steps (2.6-5.5 ns
@@ -97,24 +114,28 @@ def _direct_bound(x: int, Q: int, events: int, columns: int, split: tuple[int, i
         masks, fold and deviations at 30,000 steps plus 12 per column entry
         it folds (33 us at Q = 250, 158 us at Q = 10^4, with two slices;
         a complex fold costs about what two float folds did).
-    The route's fixed work, a few milliseconds for the primes p <= Q and
-    the pairs of prime powers, is left out: it matters only where both
-    routes take milliseconds.
+    At x = 1e7 both sides took about 0.7x their modelled steps in ns, so
+    their ratio holds: the direct passes for q in (1581, Q] took 6.1 s, 9.0 s
+    and 26.7 s of CPU on field Q at Q = 8,000, 10,000 and 20,000, the
+    route 7.6 s, 7.2 s and 7.9 s, and the rule routes from Q of about
+    9,100 (quad:-1 from about 5,900, where it measured between 5,000 and
+    8,000).  The route's fixed work, a few milliseconds for the primes
+    p <= Q and the pairs of prime powers, is left out: it matters only
+    where both routes take milliseconds.
     """
-    K = math.isqrt(x)
+    K = route_floor(x)
     if Q <= K:
         return Q
     M, classes, sparse = split
     L, chunks = _chunking(x // M)
     pairs, points = classes * classes, 2 * L
     transforms = pairs * (chunks * chunks // _BAND + 2 * chunks)
-    span = max(_SPAN, L)
-    spans = pairs * ((x // M) // span + 2) + (-(-x // span) + 1 if sparse else 0)
+    spans = pairs * ((x // M) // max(_SPAN, L) + 2) + (x // _SPARSE_SPAN + 2 if sparse else 0)
     ranges = x * spans // (2 * K)
     correlation = (
         transforms * (3 * points * (points.bit_length() - 1) // 2 + 40_000)
-        + 30 * sparse * events
-        + 4_000 * ranges
+        + 8 * sparse * events
+        + 3_000 * ranges
     )
     budget = _pass_budget(events)
     passes = _pass_count(Q, budget) - _pass_count(K, budget)
@@ -204,7 +225,10 @@ def _sparse_lags(
     whatever n, and its pairs (n, e) with n < e and n dense: so a pair
     of two sparse events is counted once, from its smaller one, and a
     pair of dense events not at all.  The partners of each e are one
-    range of the sorted table, found with `searchsorted`.
+    range of the sorted table, found with `searchsorted`, and their
+    products are added into `out` in place with `np.add.at`, event by
+    event: the order of the adds, and so every sum, is that of one
+    `bincount` over all the pairs, without holding them.
     """
     n, H = ev.n, out.size
     e = n[rows].astype(np.int64)
@@ -217,26 +241,21 @@ def _sparse_lags(
 
     above_lo, above_hi = find(e + first), find(e + h0 + H)
     below_lo, below_hi = find(e - h0 - H + 1), find(e - first + 1)
-    lags, weights = [], []
+    out[:] = 0.0
     for i, (e_i, w_i) in enumerate(zip(e.tolist(), w_e)):
         if above_lo[i] < above_hi[i]:
             seg = slice(above_lo[i], above_hi[i])
-            lags.append(n[seg] - dtype.type(e_i + h0))
-            weights.append(w_i * ev.weights(seg))
+            np.add.at(out, n[seg] - dtype.type(e_i + h0), w_i * ev.weights(seg))
         if below_lo[i] < below_hi[i]:
             seg = slice(below_lo[i], below_hi[i])
             partner = n[seg]
             keep = dense[partner % dtype.type(M)]
-            lags.append(dtype.type(e_i - h0) - partner[keep])
-            weights.append(w_i * ev.weights(seg)[keep])
-    out[:] = 0.0
-    if lags:
-        out += np.bincount(np.concatenate(lags), weights=np.concatenate(weights), minlength=H)
+            np.add.at(out, dtype.type(e_i - h0) - partner[keep], w_i * ev.weights(seg)[keep])
     return out
 
 
 def _lag_sums(field: FieldSpec, ev: NormEventTable, x: int, K: int, Q: int) -> np.ndarray:
-    """S[q - K - 1] = sum over j >= 1 of R(jq), for K < q <= Q, K >= isqrt(x).
+    """S[q - K - 1] = sum over j >= 1 of R(jq), for K < q <= Q, any K >= 1.
 
     R(h) = sum over n of w_n * w_{n+h} splits by the unit classes mod
     M = lcm(m, 2) (`_class_split`): for each ordered pair (b, b') of dense
@@ -248,7 +267,9 @@ def _lag_sums(field: FieldSpec, ev: NormEventTable, x: int, K: int, Q: int) -> n
     block, M * L lags), and each span is added as it fills: for each j,
     the q with jq in the span and jq = d (mod M) form one range with
     stride M / gcd(j, M), read from the span with stride j / gcd(j, M).
-    The sparse part is added a span of lags at a time.
+    The sparse part is added _SPARSE_SPAN lags at a time, into one span
+    allocated after the last pair's spectra are released.  An add loops
+    over about h / K values of j at lag h, so a lower K costs more ranges.
     """
     M, dense, sparse = _class_split(field, ev)
     S = np.zeros(Q - K)
@@ -281,14 +302,17 @@ def _lag_sums(field: FieldSpec, ev: NormEventTable, x: int, K: int, Q: int) -> n
         filled += block.size
     if filled:
         add(M, pair, start, span[:filled])
+    del span
     if sparse.size:
-        for h0 in range(0, x, span.size):
-            add(1, 0, h0, _sparse_lags(ev, x, M, dense, sparse, h0, span))
+        # allocated here, once the last pair's spectra are gone
+        lags = np.empty(_SPARSE_SPAN)
+        for h0 in range(0, x, lags.size):
+            add(1, 0, h0, _sparse_lags(ev, x, M, dense, sparse, h0, lags))
     return S
 
 
 def _divisors_between(D: int, K: int, Q: int) -> np.ndarray:
-    """The divisors q of D with K < q <= Q, for D <= (K + 1)^2: q = D / s with s < K + 1."""
+    """The divisors q of D >= 1 with K < q <= Q: q = D / s with s <= D / (K + 1), about D / K trial divisors."""
     s = np.arange(1, D // (K + 1) + 1)
     q = D // s[D % s == 0]
     return q[q <= Q]
@@ -369,7 +393,7 @@ def _outside_classes(field: FieldSpec, ev: NormEventTable, K: int, Q: int, g: np
 
 
 def _correlation_rows(field: FieldSpec, x: int, K: int, Q: int):
-    """(admissible counts, contributions, outside masses) of every q in (K, Q], K >= isqrt(x).
+    """(admissible counts, contributions, outside masses) of every q in (K, Q], any K >= 1.
 
     With S[q] = sum over j >= 1 of R(jq) (`_lag_sums`), the squares of
     all classes mod q sum to R(0) + 2 S[q] = S2 + 2 S[q], and their masses
@@ -398,3 +422,34 @@ def _correlation_rows(field: FieldSpec, x: int, K: int, Q: int):
     member_sq = S2 + 2 * lag_sums - non_unit_sq - outside_sq
     mean = x / count
     return count, member_sq - 2 * mean * member_sum + count * mean * mean, outside
+
+
+@dataclass(frozen=True)
+class RouteAgreement:
+    """Routed rows recomputed by direct passes: the q compared, the worst gap and its q.
+
+    A cross-route check over one event table, not an independent oracle:
+    both routes read the same events.
+    """
+
+    moduli: tuple[int, ...]
+    gap: float
+    q: int
+
+
+def _agreement_moduli(K: int, Q: int) -> tuple[int, ...]:
+    """The routed q that a report recomputes by direct passes: K + 1, Q, and three between, geometrically spaced."""
+    ratio = Q / (K + 1)
+    return tuple(sorted({K + 1, Q} | {round((K + 1) * ratio ** (i / 4)) for i in (1, 2, 3)}))
+
+
+def _route_agreement(field: FieldSpec, x: int, K: int, Q: int, contributions: np.ndarray) -> RouteAgreement:
+    """The worst gap between routed contributions of q in (K, Q] and one direct pass each, at `_agreement_moduli`."""
+    ev = norm_events(field, x)
+    moduli = _agreement_moduli(K, Q)
+    gaps = [
+        rel_gap(contributions[q - 1], _direct_row(field, x, q, class_weights(ev.n, ev.columns, q))[1])
+        for q in moduli
+    ]
+    worst = max(range(len(moduli)), key=gaps.__getitem__)  # the first q with the largest gap
+    return RouteAgreement(moduli, gaps[worst], moduli[worst])

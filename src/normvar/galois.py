@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import divisors, euler_phi
-from .characters import UnitGroup, phase_columns, unit_mask
+from .characters import phase_columns, unit_mask
 from .fields import FieldSpec, _pow_mod, kernel_image, residue_degrees
 from .sieve import primes_up_to
 
@@ -114,11 +114,12 @@ def norm_class_group(field: FieldSpec, q: int) -> NormClassGroup:
     (`_generators`): a character trivial on them is trivial on the group
     they generate.  If the members were not a group, that group would be
     larger than `order`, and order * |annihilator| would miss phi(q).
-    The unit group is built uncached, so its discrete logs are not kept.
+    No unit group modulo q is built: the generators' discrete logs come
+    from tables kept per prime power of q, combined by CRT.
     """
     member, _ = residue_masks(field, q)
     members = np.flatnonzero(member).tolist()
-    phases = phase_columns(UnitGroup(q), np.array(_generators(q, members), dtype=np.intp))
+    phases = phase_columns(q, np.array(_generators(q, members), dtype=np.intp))
     return NormClassGroup(
         q=q,
         members=tuple(members),

@@ -20,8 +20,8 @@ passes folded.  `class_weights` is the direct route for one q, and
 `residue_buckets` hands out the held t_q, or makes that direct pass.
 
 The variance report needs only the sum of squares of t_q over the
-admissible classes, not t_q itself, and for q > sqrt(x) it can take
-that from the autocorrelation of the weights instead (`correlation`,
+admissible classes, not t_q itself, and for q > route_floor(x) it can
+take that from the autocorrelation of the weights instead (`correlation`,
 imported only by a run that may route there).  On admissible classes
 the expected size is x / (number of admissible classes); the variance
 report sums the squared deviations over all q <= Q in ascending q and
@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -54,6 +54,9 @@ from .characters import DirichletCharacter, character_matrix, primitive_part, un
 from .fields import FieldSpec
 from .galois import norm_class_group, residue_masks
 from .sieve import NormEventTable, _prime_power_rows, event_moment_sums, norm_events
+
+if TYPE_CHECKING:
+    from .correlation import RouteAgreement
 
 #: relative agreement demanded of dual-route identities
 REL_TOL = 1e-9
@@ -207,6 +210,7 @@ class VarianceReport:
     The rows are read-only columns: `per_q[q - 1]` is q's contribution
     (float64) and `admissible[q - 1]` its class count (int64).  Arrays
     make `==` ambiguous, so compare reports column by column.
+    `route_agreement` is None when every q took the direct passes.
     """
 
     field: FieldSpec
@@ -224,6 +228,7 @@ class VarianceReport:
     per_q: np.ndarray
     admissible: np.ndarray
     dyadic: tuple[DyadicBlock, ...]
+    route_agreement: RouteAgreement | None = None
 
 
 #: largest exponent M a variance report accepts.  The report reads
@@ -336,18 +341,31 @@ def _per_q_weights(field: FieldSpec, x: int, Q: int) -> Iterator[tuple[int, np.n
             yield q, _hold(ev, q, fold(tables, q))
 
 
+#: largest x at which every routed row was compared with the direct one
+ROUTE_FLOOR_MEASURED_X = 10**7
+
+
+def route_floor(x: int) -> int:
+    """Least K whose q > K may take the correlation route: isqrt(x) // 2 (at least 1) up to x = 1e7, isqrt(x) above.
+
+    The measured gaps behind it are in the `correlation` docstring.
+    """
+    K = math.isqrt(x)
+    return max(K // 2, 1) if x <= ROUTE_FLOOR_MEASURED_X else K
+
+
 def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     """Variance of residue-class weights around x / (class count).
 
     The class weights of every q up to a bound D fold out of a few passes
     over the events (`_per_q_weights`), each of whose moduli covers
-    several multiples q * (D // q) in (D/2, D].  D is Q, or isqrt(x) when
-    the moduli above it cost less on the correlation route
-    (`correlation._direct_bound`), which takes them all at once from the
-    blocked correlations of the weights, one pair of unit classes mod
-    lcm(m, 2) at a time (`correlation._correlation_rows`); its rows are
-    not bit-identical to the direct ones, but within about 1e-11
-    relative.  The per-q rows are summed exactly, with `math.fsum`.
+    several multiples q * (D // q) in (D/2, D].  D is Q, or route_floor(x)
+    when the moduli above it cost less on the correlation route
+    (`correlation._direct_bound`), which takes them all at once
+    (`correlation._correlation_rows`); its rows are not bit-identical to
+    the direct ones, but within about 6e-11 relative, and the report
+    checks five of them (`correlation._route_agreement`).  The per-q
+    rows are summed exactly, with `math.fsum`.
 
     Args:
         field: base field descriptor.
@@ -368,8 +386,8 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
         raise ValueError(msg)
     ev = norm_events(field, x)
     direct = Q
-    if Q > math.isqrt(x):
-        # imported only here: a run whose q all stay at or below isqrt(x)
+    if Q > route_floor(x):
+        # imported only here: a run whose q all stay at or below the floor
         # does not compile the route (about 0.6 MiB of RSS)
         from .correlation import _class_split, _direct_bound
 
@@ -379,21 +397,27 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     return _variance(field, x, Q, M, direct)
 
 
+def _direct_row(field: FieldSpec, x: int, q: int, t: np.ndarray) -> tuple[int, float, float]:
+    """(admissible count, contribution, outside mass) of q from its class weights t_q."""
+    member, coprime = residue_masks(field, q)
+    count = np.count_nonzero(member)
+    dev = t[member] - x / count
+    return count, dev @ dev, t[coprime & ~member].sum()
+
+
 def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> VarianceReport:
     """The variance report with q <= `direct` on the direct passes and the larger q on the correlation route."""
     counts = np.zeros(Q, dtype=np.int64)
     contributions = np.zeros(Q)
     outside = np.zeros(Q)
     for q, t in _per_q_weights(field, x, direct):
-        member, coprime = residue_masks(field, q)
-        counts[q - 1] = count = np.count_nonzero(member)
-        dev = t[member] - x / count
-        contributions[q - 1] = dev @ dev
-        outside[q - 1] = t[coprime & ~member].sum()
+        counts[q - 1], contributions[q - 1], outside[q - 1] = _direct_row(field, x, q, t)
+    agreement = None
     if direct < Q:
-        from .correlation import _correlation_rows
+        from .correlation import _correlation_rows, _route_agreement
 
         counts[direct:], contributions[direct:], outside[direct:] = _correlation_rows(field, x, direct, Q)
+        agreement = _route_agreement(field, x, direct, Q, contributions)
     counts.setflags(write=False)
     contributions.setflags(write=False)
     total = _fsum(contributions)
@@ -417,6 +441,7 @@ def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> Variance
         per_q=contributions,
         admissible=counts,
         dyadic=_dyadic_blocks(contributions, cutoff),
+        route_agreement=agreement,
     )
 
 

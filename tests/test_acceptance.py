@@ -179,6 +179,9 @@ def test_criterion_10_reports_are_byte_identical_across_processes(tmp_path):
     with redirect_stdout(stdout):
         assert main(argv) == 0
     blobs.append(stdout.getvalue().encode("ascii"))
+    # the q above the route's floor 50 take the correlation route, and the
+    # report embeds its route-agreement check
+    assert b'"route_agreement_max_gap"' in blobs[0]
     ok = blobs[0] == blobs[1] == blobs[2]
     _report(10, ok, f"variance report bytes identical across two processes and stdout "
                     f"({len(blobs[0])} bytes)")

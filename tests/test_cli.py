@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -200,17 +199,17 @@ def test_variance_csv_format(capsys):
     assert lines[1].startswith("1,1,")
 
 
-#: (x, Q) of a report whose rows are all direct, and of one whose q > 54
-#: take the correlation route (`_routed_report` checks that they do)
-ROW_REPORTS = ((500, 20), (3000, 3000))
+#: (x, Q) of a report whose rows are all direct, and of one whose q above
+#: the floor 27 take the correlation route (`_routed_report` checks that they do)
+ROW_REPORTS = ((2000, 20), (3000, 3000))
 
 
 def _routed_report(monkeypatch, x, Q):
-    """`variance` on field Q, and whether its rows for q > isqrt(x) took the correlation route."""
+    """`variance` on field Q, and whether its rows for q > `stats.route_floor(x)` took the correlation route."""
     calls = []
     rows = correlation._correlation_rows
     monkeypatch.setattr(correlation, "_correlation_rows", lambda *a: calls.append(a[2]) or rows(*a))
-    return nv.variance(nv.rational_field(), x, Q), calls == [math.isqrt(x)]
+    return nv.variance(nv.rational_field(), x, Q), calls == [stats.route_floor(x)]
 
 
 def test_variance_csv_blocks_join_to_one_csv(monkeypatch, capsys):
@@ -219,7 +218,7 @@ def test_variance_csv_blocks_join_to_one_csv(monkeypatch, capsys):
     monkeypatch.setattr(reporting, "_CSV_ROWS", 7)
     for x, Q in ROW_REPORTS:
         report, routed = _routed_report(monkeypatch, x, Q)
-        assert routed == (Q > math.isqrt(x))
+        assert routed == (Q > stats.route_floor(x))
         columns = zip(range(1, Q + 1), report.admissible.tolist(), report.per_q.tolist())
         rows = [f"{q},{count},{reporting.format_float(c)}" for q, count, c in columns]
         code, out, _ = run(
@@ -233,7 +232,8 @@ def test_variance_csv_blocks_join_to_one_csv(monkeypatch, capsys):
     "command, label, x", [("variance", "Q", 200_000), ("checks", "quad:-1", 100_000)]
 )
 def test_one_schedule_of_passes_per_command(command, label, x, monkeypatch, capsys):
-    # Q = 300 <= isqrt(x), so every variance row is on the passes.  The
+    # Q = 300 lies above the route's floor 223 at x = 2e5, but the route
+    # costs more than the passes there, so every variance row is on them.  The
     # first plan over q <= 300, the report's in `variance` and the large
     # sieve's in `checks`, folds every t_q the other checks read, and the
     # event table holds them; a fresh table, so that no earlier run did
@@ -308,7 +308,7 @@ def test_rows_are_laid_out_as_json_dumps(monkeypatch):
     # direct and routed rows
     for x, Q in ROW_REPORTS:
         report, routed = _routed_report(monkeypatch, x, Q)
-        assert routed == (Q > math.isqrt(x))
+        assert routed == (Q > stats.route_floor(x))
         payload = reporting.variance_payload(report, {}, {})
         columns = zip(range(1, Q + 1), report.admissible.tolist(), report.per_q.tolist())
         dicts = [{"q": q, "phi_K": count, "contribution": c} for q, count, c in columns]
@@ -317,15 +317,15 @@ def test_rows_are_laid_out_as_json_dumps(monkeypatch):
 
 def test_runs_below_sqrt_x_leave_the_route_unloaded(tmp_path):
     # compiling `normvar.correlation` costs about 0.6 MiB of RSS, so checks,
-    # and a variance whose q all stay at most isqrt(x), never load it
+    # and a variance whose q all stay at most the floor 50, never load it
     script = """
 import sys
 from normvar import cli
 for argv in (["checks", "--field", "Q", "--x", "10000", "--Q", "30"],
-             ["variance", "--field", "Q", "--x", "10000", "--Q", "100"]):
+             ["variance", "--field", "Q", "--x", "10000", "--Q", "50"]):
     assert cli.main([*argv, "--out", sys.argv[1]]) == 0
 assert "normvar.correlation" not in sys.modules
-assert cli.main(["variance", "--field", "Q", "--x", "10000", "--Q", "101", "--out", sys.argv[1]]) == 0
+assert cli.main(["variance", "--field", "Q", "--x", "10000", "--Q", "51", "--out", sys.argv[1]]) == 0
 assert "normvar.correlation" in sys.modules
 """
     proc = _fresh_python(script, dict(os.environ), str(tmp_path / "report.json"))
@@ -477,6 +477,46 @@ def test_variance_reports_failed_check(monkeypatch, capsys):
     assert "FAIL large-sieve: lhs/rhs = 2 at Q=30" in err
 
 
+@pytest.mark.parametrize("Q, routed", [(50, False), (250, True)])
+def test_route_agreement_is_reported_exactly_when_some_q_routes(Q, routed, capsys):
+    # the floor at x = 1e4 is 50; quad:-1 routes the q above it at Q = 250
+    x = 10**4
+    report = nv.variance(nv.parse_field("quad:-1"), x, Q)
+    assert (report.route_agreement is not None) == routed
+    code, out, err = run(capsys, "variance", "--field", "quad:-1", "--x", str(x), "--Q", str(Q))
+    assert code == 0, err
+    lines = [line for line in err.splitlines() if "route-agreement" in line]
+    block = json.loads(out)["checks"]
+    if not routed:
+        assert lines == [] and "route_agreement_max_gap" not in block
+        return
+    agreement = report.route_agreement
+    assert agreement.moduli == (51, 76, 113, 168, 250)
+    gap = reporting.format_float(agreement.gap, 3)
+    assert lines == [
+        f"PASS route-agreement: max gap {gap} at q={agreement.q} over the routed"
+        " q=[51, 76, 113, 168, 250]; cross-route, over one event table, not an independent oracle"
+    ]
+    assert block["route_agreement_max_gap"] == float(reporting.format_float(agreement.gap))
+
+
+def test_perturbed_route_fails_route_agreement(monkeypatch, capsys):
+    # a routed row off by 1e-6 at q = Q: the check names it, and only it fails
+    rows = correlation._correlation_rows
+
+    def perturbed(field, x, K, Q):
+        counts, contributions, outside = rows(field, x, K, Q)
+        contributions[-1] *= 1 + 1e-6
+        return counts, contributions, outside
+
+    monkeypatch.setattr(correlation, "_correlation_rows", perturbed)
+    code, out, err = run(capsys, "variance", "--field", "quad:-1", "--x", "10000", "--Q", "250")
+    assert code == 1
+    assert fail_lines(err) == 1
+    assert "FAIL route-agreement: max gap 1e-06 at q=250 over the routed" in err
+    assert json.loads(out)["checks"]["route_agreement_max_gap"] > 1e-9
+
+
 @pytest.mark.parametrize("command", ["variance", "checks"])
 def test_reports_without_events_pass(command, capsys):
     # cyclo:11 has no prime-power norm up to 10: every inert power exceeds it
@@ -587,7 +627,7 @@ if os.path.exists("/proc/self/status"):
 @pytest.mark.parametrize(
     "argv",
     [
-        # direct passes, and the correlation route for q > isqrt(x) = 316
+        # direct passes, and the correlation route for q > the floor 158
         ["variance", "--field", "quad:-1", "--x", "100000", "--Q", "1000"],
         ["checks", "--field", "cyclo:12", "--x", "100000", "--Q", "120"],
     ],

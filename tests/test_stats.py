@@ -11,6 +11,7 @@ from normvar.characters import unit_mask
 from normvar.fields import kernel_image
 from normvar.sieve import weight_slices
 from normvar.stats import class_weights
+from conftest import ORACLE_LABELS
 from naive_oracle import naive_variance
 
 LOG2, LOG3, LOG5, LOG7 = math.log(2), math.log(3), math.log(5), math.log(7)
@@ -291,7 +292,7 @@ ROW_LABELS = ("Q", "quad:-1", "quad:5", "cyclo:12")
     + [pytest.param(label, 10**6, 100, id=f"{label}-merged") for label in ROW_LABELS],
 )
 def test_variance_rows_are_bit_identical_to_reference_loop(label, x, Q):
-    # every q on the direct passes: at (1e5, 1500) `variance` routes q > 316
+    # every q on the direct passes: at (1e5, 1500) `variance` routes q > 158
     # to the correlation, which test_correlation_rows_match_direct_rows holds
     report = stats._variance(nv.parse_field(label), x, Q, 1, Q)
     counts, contributions, outside = _reference_rows(label, x, Q)
@@ -308,8 +309,9 @@ def _direct_bound(field, x, Q):
 
 
 def _assert_routed_rows_match_direct(field, x, Q):
-    """`variance` routes every q > isqrt(x); its rows match the all-direct report."""
-    K = math.isqrt(x)
+    """`variance` routes every q > K = route_floor(x); its rows match the all-direct report."""
+    K = stats.route_floor(x)
+    assert K < math.isqrt(x)
     assert _direct_bound(field, x, Q) == K
     routed = nv.variance(field, x, Q)
     direct = stats._variance(field, x, Q, 1, Q)
@@ -320,19 +322,33 @@ def _assert_routed_rows_match_direct(field, x, Q):
         assert nv.rel_gap(r, d) <= 1e-9, q
     assert nv.rel_gap(routed.outside_mass, direct.outside_mass) <= 1e-9
     assert nv.rel_gap(routed.total, direct.total) <= 1e-9
+    _assert_agreement_is_the_worst_covered_gap(routed, direct, K)
     return routed, direct
 
 
+def _assert_agreement_is_the_worst_covered_gap(routed, direct, K):
+    """The routed report's route-agreement names the argmax of its covered q's gaps to the direct rows."""
+    agreement = routed.route_agreement
+    assert direct.route_agreement is None
+    moduli = agreement.moduli
+    assert moduli[0] == K + 1 and moduli[-1] == routed.Q and list(moduli) == sorted(set(moduli))
+    gaps = [nv.rel_gap(routed.per_q[q - 1], direct.per_q[q - 1]) for q in moduli]
+    # the direct rows come from exact class sums, as the check's own passes do
+    assert agreement.gap == max(gaps) <= 1e-9
+    assert agreement.q == moduli[gaps.index(max(gaps))]
+
+
 @pytest.mark.parametrize("x, Q", [(10**4, 10**4), (10**5, 3000)])
-@pytest.mark.parametrize("label", ROW_LABELS)
+@pytest.mark.parametrize("label", ORACLE_LABELS)
 def test_correlation_rows_match_direct_rows(label, x, Q):
     _assert_routed_rows_match_direct(nv.parse_field(label), x, Q)
 
 
 @pytest.mark.parametrize("label", ROW_LABELS + ("quad:-5", "cyclo:7"))
 def test_correlation_rows_match_direct_rows_across_small_chunks(label, monkeypatch):
-    # chunks of 64 entries of each class's weights in bands of 3, and spans
-    # of 200 entries: blocks straddle chunks, bands and spans.  quad:-5 has
+    # chunks of 64 entries of each class's weights in bands of 3, spans
+    # of 200 entries and sparse spans of 300 lags: blocks straddle chunks,
+    # bands and spans.  quad:-5 has
     # four dense classes mod 20; cyclo:7 has M = 14, so a block of 64
     # entries covers 896 lags.  Q = 3000: at Q = 2000 one complex scatter
     # per pass makes the direct passes cheaper than field Q's route at
@@ -340,6 +356,7 @@ def test_correlation_rows_match_direct_rows_across_small_chunks(label, monkeypat
     monkeypatch.setattr(correlation, "_CHUNK", 64)
     monkeypatch.setattr(correlation, "_BAND", 3)
     monkeypatch.setattr(correlation, "_SPAN", 200)
+    monkeypatch.setattr(correlation, "_SPARSE_SPAN", 300)
     field, x = nv.parse_field(label), 10**4
     M = correlation._class_split(field, nv.norm_events(field, x))[0]
     L, chunks = correlation._chunking(x // M)
@@ -391,15 +408,29 @@ def _naive_lag_sums(n, w, K, Q):
     return [math.fsum(t) for t in terms]
 
 
-@pytest.mark.parametrize("label", ["Q", "quad:-1", "quad:5", "quad:-5", "cyclo:12", "strays"])
-def test_lag_sums_match_the_naive_pair_sums(label):
+LAG_LABELS = ("Q", "quad:-1", "quad:5", "quad:-5", "cyclo:12", "strays")
+
+
+def _lag_table(label, x):
+    """(field, events) of a `LAG_LABELS` entry up to x."""
+    field = nv.parse_field("quad:-1" if label == "strays" else label)
+    return field, (_with_strays(x) if label == "strays" else nv.norm_events(field, x))
+
+
+@pytest.mark.parametrize(
+    "label, floor",
+    [pytest.param(label, False, id=label) for label in LAG_LABELS]
+    + [pytest.param(label, True, id=f"{label}-floor") for label in LAG_LABELS],
+)
+def test_lag_sums_match_the_naive_pair_sums(label, floor):
     # Q has one dense class mod 2, quad:-1 one mod 4, quad:5 two mod 10,
     # quad:-5 four mod 20 and cyclo:12 one mod 12; "strays" is quad:-1
-    # with the events 7 and 419 of test_correlation_route_measures_outside_mass
+    # with the events 7 and 419 of test_correlation_route_measures_outside_mass.
+    # K is isqrt(x) = 54, or the route's floor 27 below it
     x = 3000
-    field = nv.parse_field("quad:-1" if label == "strays" else label)
-    ev = _with_strays(x) if label == "strays" else nv.norm_events(field, x)
-    K, Q = math.isqrt(x), x
+    field, ev = _lag_table(label, x)
+    K, Q = (stats.route_floor(x) if floor else math.isqrt(x)), x
+    assert K < math.isqrt(x) if floor else K == 54
     S = correlation._lag_sums(field, ev, x, K, Q)
     ref = _naive_lag_sums(ev.n.astype(np.int64).tolist(), ev.weights().tolist(), K, Q)
     # the transforms round at the scale of R(0), the sum of the squares
@@ -410,53 +441,118 @@ def test_lag_sums_match_the_naive_pair_sums(label):
     assert sum(r > 0 for r in ref) > (Q - K) // 3
 
 
+def _bincount_sparse_lags(ev, x, M, dense, rows, h0, H):
+    """The earlier `correlation._sparse_lags`: every pair's lag and product concatenated, then one `bincount`."""
+    n = ev.n
+    e = n[rows].astype(np.int64)
+    w_e = ev.weights(rows).tolist()
+    first = max(h0, 1)
+    dtype = n.dtype
+
+    def find(needles):
+        return np.searchsorted(n, np.clip(needles, 0, x + 1).astype(dtype)).tolist()
+
+    above_lo, above_hi = find(e + first), find(e + h0 + H)
+    below_lo, below_hi = find(e - h0 - H + 1), find(e - first + 1)
+    lags, weights = [], []
+    for i, (e_i, w_i) in enumerate(zip(e.tolist(), w_e)):
+        if above_lo[i] < above_hi[i]:
+            seg = slice(above_lo[i], above_hi[i])
+            lags.append(n[seg] - dtype.type(e_i + h0))
+            weights.append(w_i * ev.weights(seg))
+        if below_lo[i] < below_hi[i]:
+            seg = slice(below_lo[i], below_hi[i])
+            partner = n[seg]
+            keep = dense[partner % dtype.type(M)]
+            lags.append(dtype.type(e_i - h0) - partner[keep])
+            weights.append(w_i * ev.weights(seg)[keep])
+    out = np.zeros(H)
+    if lags:
+        out += np.bincount(np.concatenate(lags), weights=np.concatenate(weights), minlength=H)
+    return out
+
+
+@pytest.mark.parametrize("label", LAG_LABELS + ("cyclo:7",))
+def test_sparse_lags_equal_one_bincount_of_the_pairs(label):
+    # the in-place adds keep the order of the one bincount over all pairs,
+    # so every lag's sum keeps its bits, whatever the span; cyclo:7 has
+    # the ramified 7 and its powers among the sparse events
+    x = 20_000
+    field, ev = _lag_table(label, x)
+    M, dense, sparse = correlation._class_split(field, ev)
+    assert sparse.size > 0
+    for H in (97, 1 << 12, 1 << 15):
+        out = np.empty(H)
+        for h0 in range(0, x, H):
+            expected = _bincount_sparse_lags(ev, x, M, dense, sparse, h0, H)
+            assert np.array_equal(correlation._sparse_lags(ev, x, M, dense, sparse, h0, out), expected), (H, h0)
+
+
 def test_correlation_route_matches_naive_oracle_at_Q_equal_x(oracle_field):
     # the paper's range x (log x)^-M <= Q <= x, at its top: Q = x
     field = oracle_field
     x = Q = 300
     report = nv.variance(field, x, Q)
-    assert _direct_bound(field, x, Q) == math.isqrt(x)
+    assert _direct_bound(field, x, Q) == stats.route_floor(x)
     ref_total, ref_outside = naive_variance(field.variant, field.parameter, x, Q)
     assert nv.rel_gap(report.total, ref_total) <= 1e-9
     assert report.outside_mass == 0.0 and ref_outside == 0.0
 
 
+def test_route_floor_is_half_the_root_where_measured():
+    assert stats.route_floor(10**6) == 500
+    # deepx, `--field Q --x 1e7 --Q 1000`, stays at or below the floor:
+    # every q on the direct passes, with no class split and no route compiled
+    assert stats.route_floor(stats.ROUTE_FLOOR_MEASURED_X) == 1581
+    # above the x at which every routed row was measured, the floor stays at the root
+    assert stats.route_floor(stats.ROUTE_FLOOR_MEASURED_X + 1) == 3162
+    assert stats.route_floor(10**8) == 10**4
+    # at least 1 where half the root rounds to 0
+    assert stats.route_floor(2) == stats.route_floor(3) == stats.route_floor(4) == 1
+
+
 @pytest.mark.parametrize("x", [10**4, 10**4 + 200, 99 * 99 - 1])
-def test_routing_starts_above_isqrt_x(x):
+def test_routing_starts_above_the_floor(x):
     field = nv.rational_field()
-    K = math.isqrt(x)
-    # up to isqrt(x) every q is direct; above it the route takes over
+    K = stats.route_floor(x)
+    assert K == math.isqrt(x) // 2
+    # up to the floor every q is direct; above it the route takes over
     assert _direct_bound(field, x, K) == K
     assert _direct_bound(field, x, x) == K
     report = nv.variance(field, x, 3 * K)
     below = stats._variance(field, x, K, 1, K)
     assert np.array_equal(report.per_q[:K], below.per_q)
     assert np.array_equal(report.admissible[:K], below.admissible)
+    assert below.route_agreement is None
 
 
 def test_routing_keeps_direct_passes_where_the_correlation_costs_more():
     # Q, x = 1e7 (665,134 events, 23 of them powers of 2) and x = 1e8
-    # (5,762,859 events, 26 powers of 2), Q just above sqrt(x): the
-    # correlation's transforms grow with x^2, the few passes it would
-    # replace with x / log x
+    # (5,762,859 events, 26 powers of 2), in one complex weight column
+    # each: the correlation's transforms grow with x^2, the few passes it
+    # would replace with x / log x
     split_7, split_8 = (2, 1, 23), (2, 1, 26)
-    assert correlation._direct_bound(10**7, 4000, 665_134, 2, split_7) == 4000
-    assert correlation._direct_bound(10**8, 10_001, 5_762_859, 2, split_8) == 10_001
-    # at x = 1e7 `_variance` took 7.7 s direct and 16.8 s routed at
-    # Q = 4000, 18.6 s and 17.1 s at 8000, 71.1 s and 18.1 s at 20,000
-    assert correlation._direct_bound(10**7, 8000, 665_134, 2, split_7) == 3162
-    assert correlation._direct_bound(10**7, 20_000, 665_134, 2, split_7) == 3162
-    # at x = 1e7 and Q = 1e5 the passes for q in (3162, 1e5] cost more
-    assert correlation._direct_bound(10**7, 10**5, 665_134, 2, split_7) == 3162
+    assert len(nv.norm_events(nv.rational_field(), 10**5).columns) == 1
+    assert correlation._direct_bound(10**7, 4000, 665_134, 1, split_7) == 4000
+    assert correlation._direct_bound(10**8, 10_001, 5_762_859, 1, split_8) == 10_001
+    # at x = 1e7, above the floor 1581, the direct passes took 6.1 s of
+    # CPU and the route 7.6 s at Q = 8000, 9.0 s and 7.2 s at 10,000,
+    # 26.7 s and 7.9 s at 20,000
+    assert correlation._direct_bound(10**7, 8000, 665_134, 1, split_7) == 8000
+    assert correlation._direct_bound(10**7, 10_000, 665_134, 1, split_7) == 1581
+    assert correlation._direct_bound(10**7, 20_000, 665_134, 1, split_7) == 1581
+    # at x = 1e7 and Q = 1e5 the passes for q in (1581, 1e5] cost more
+    assert correlation._direct_bound(10**7, 10**5, 665_134, 1, split_7) == 1581
     # quad:-1 (one dense class mod 4, 332,701 events) routes from a lower
-    # Q than Q itself: its route covers x / 4 instead of x / 2; at
-    # Q = 6000 `_variance` took 7.5 s direct and 7.1 s routed
-    assert correlation._direct_bound(10**7, 6000, 332_701, 2, (4, 1, 23)) == 3162
+    # Q than Q itself: its route covers x / 4 instead of x / 2; the direct
+    # passes took 1.7 s and the route 2.3 s at Q = 5000, 4.1 s and 2.5 s at 8000
+    assert correlation._direct_bound(10**7, 5000, 332_701, 1, (4, 1, 23)) == 5000
+    assert correlation._direct_bound(10**7, 8000, 332_701, 1, (4, 1, 23)) == 1581
 
 
 def test_divisors_between_lists_every_divisor_in_range():
     for D in (1, 2, 360, 412, 9973, 10**4):
-        for K, Q in ((100, 10**4), (100, 200), (math.isqrt(D), D)):
+        for K, Q in ((100, 10**4), (100, 200), (math.isqrt(D), D), (2, D)):
             expected = [q for q in range(K + 1, Q + 1) if D % q == 0]
             assert sorted(correlation._divisors_between(D, K, Q).tolist()) == expected
 
@@ -663,7 +759,8 @@ def test_primitive_square_keeps_the_bits_of_the_slice_sums(label):
 
 
 def test_event_table_serves_the_checks_from_the_variance_passes(field, monkeypatch):
-    # Q = 120 <= isqrt(x), so the variance loop passes every held modulus
+    # Q = 120 lies above the route's floor 70, but the route costs more
+    # than the passes there, so the variance loop passes every held modulus
     x, Q = 20_000, stats._HELD_BOUND
     sieve._event_table.cache_clear()
     sieve_alone = [nv.large_sieve_check(field, x, s) for s in (Q, 20)]
@@ -671,6 +768,7 @@ def test_event_table_serves_the_checks_from_the_variance_passes(field, monkeypat
     ev = nv.norm_events(field, x)
     assert ev.held == {}
     report = nv.variance(field, x, Q)
+    assert report.route_agreement is None
     assert sorted(ev.held) == list(range(1, stats._HELD_BOUND + 1))
     for q, t in ev.held.items():
         assert not t.flags.writeable
