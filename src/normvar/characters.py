@@ -9,9 +9,10 @@ at n is the exact rational rotation
 
     sum_i exponents[i] * dlog_i(n) / order_i  (mod 1),
 
-kept as a Fraction until complex values are actually needed.  Numeric
-values have one route, `phase_columns`: the integer numerators of those
-rotations for every character modulo q at the given residues.
+kept as an integer numerator over the group exponent (`_phase`) until
+complex values are actually needed.  Numeric values have one route,
+`phase_columns`: the integer numerators of those rotations for every
+character modulo q at the given residues.
 `phase_matrix` takes them at every residue, `character_matrix` maps
 that to complex values, a character's `value_table` is its row there,
 and `galois` reads the annihilator off the columns of a few generators
@@ -19,7 +20,7 @@ of the admissible classes.  The
 conductor follows one rule: a factor of (Z/p^a)^* on which the character
 has order r > 1 asks for p^(base + v_p(r)), where base is 2 for <5> and
 1 for every other factor, and the conductor is the lcm of these prime
-powers.  The primitive part is solved for by evaluating rotations at
+powers.  The primitive part is solved for from the phase numerators at
 lifts of the smaller group's generators.
 """
 
@@ -27,18 +28,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from .arith import euler_phi, factorize, primitive_root, valuation
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class _Component:
+
+class _Component(NamedTuple):
     """One cyclic factor of (Z/p^a)^*, inside (Z/qZ)^*."""
 
     prime: int
@@ -117,7 +118,10 @@ def _residue_logs(q: int, residues: np.ndarray) -> tuple[tuple[int, ...], np.nda
 
 
 class UnitGroup:
-    """Cyclic decomposition of (Z/qZ)^*; discrete logs come from `_residue_logs`."""
+    """Cyclic decomposition of (Z/qZ)^*; discrete logs come from `_residue_logs`.
+
+    Equal, hashed and printed by q, which determines everything else.
+    """
 
     __slots__ = ("q", "components", "exponent", "coprime")
 
@@ -132,6 +136,15 @@ class UnitGroup:
             for g, order, base in _local_factors(p, a)
         )
         self.exponent = math.lcm(*(c.order for c in self.components))
+
+    def __eq__(self, other) -> bool:
+        return self.q == other.q if isinstance(other, UnitGroup) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.q)
+
+    def __repr__(self) -> str:
+        return f"UnitGroup({self.q})"
 
     def _lift(self, g: int, pp: int) -> int:
         """CRT lift: congruent to g mod pp and to 1 mod q/pp."""
@@ -160,39 +173,43 @@ def unit_group(q: int) -> UnitGroup:
     return UnitGroup(q)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(NamedTuple):
     """A character modulo q given by exponents against the unit-group generators."""
 
     q: int
     exponents: tuple[int, ...]
     conductor: int
     primitive: bool
-    group: UnitGroup = dc_field(compare=False, repr=False)
+    group: UnitGroup
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def rotation(self, n: int) -> Optional[Fraction]:
-        """Exact phase of the value at n as a Fraction in [0, 1), or None.
-
-        None encodes value 0, i.e. gcd(n, q) > 1.
-        """
+    def _phase(self, n: int) -> Optional[int]:
+        """k with value exp(2 pi i k / group.exponent) at n, 0 <= k < group.exponent, or None when gcd(n, q) > 1."""
         exps = self.group.exponents_of(n)
         if exps is None:
             return None
         big = self.group.exponent
-        num = sum(
-            e * a * (big // o) for e, a, o in zip(self.exponents, exps, self.group.orders)
-        )
-        return Fraction(num % big, big)
+        return sum(e * a * (big // o) for e, a, o in zip(self.exponents, exps, self.group.orders)) % big
+
+    def rotation(self, n: int) -> Optional[Fraction]:
+        """Exact phase of the value at n as a Fraction in [0, 1), or None.
+
+        None encodes value 0, i.e. gcd(n, q) > 1.  `fractions` is imported
+        on the first call: no command reads a rotation.
+        """
+        from fractions import Fraction
+
+        phase = self._phase(n)
+        return None if phase is None else Fraction(phase, self.group.exponent)
 
     def value(self, n: int) -> complex:
         """Complex value at n; 0 when gcd(n, q) > 1."""
-        rot = self.rotation(n)
-        if rot is None:
+        phase = self._phase(n)
+        if phase is None:
             return 0j
-        theta = 2.0 * math.pi * (rot.numerator / rot.denominator)
+        theta = 2.0 * math.pi * (phase / self.group.exponent)
         return complex(math.cos(theta), math.sin(theta))
 
     def value_table(self) -> np.ndarray:
@@ -301,24 +318,23 @@ def character_matrix(q: int) -> np.ndarray:
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character inducing chi; chi itself when already primitive.
 
-    The exponents of the primitive part are recovered by evaluating chi at
-    lifts of the conductor-level generators chosen coprime to q, where the
-    two characters agree.
+    The exponents of the primitive part are recovered from chi's integer
+    phases at lifts of the conductor-level generators chosen coprime to q,
+    where the two characters agree.
     """
     if chi.primitive:
         return chi
-    cond = chi.conductor
-    small = unit_group(cond)
+    cond, big = chi.conductor, chi.group.exponent
     exps = []
-    for comp in small.components:
+    for comp in unit_group(cond).components:
         n = comp.generator
         while math.gcd(n, chi.q) != 1:
             n += cond
-        rot = chi.rotation(n)
-        scaled = rot * comp.order
-        if scaled.denominator != 1:
+        # the value at n is exp(2 pi i phase / big) = exp(2 pi i e / order)
+        e, rest = divmod(chi._phase(n) * comp.order, big)
+        if rest:
             raise AssertionError(f"conductor computation inconsistent for {chi}")
-        exps.append(int(scaled) % comp.order)
+        exps.append(e)
     reduced = character(cond, tuple(exps))
     if reduced.conductor != cond:
         raise AssertionError(f"primitive part of {chi} failed to be primitive")

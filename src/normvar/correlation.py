@@ -22,8 +22,9 @@ the direct one read 1.6e-11 at x = 1e6 (q = 504) and 6.0e-11 at x = 1e7
 (q = 1610), 16x inside 1e-9; over every oracle field it read 1.5e-12
 at x = 1e4 and 4.3e-12 at 1e5.  The least floor with a 10x margin grew
 about as x^0.9 (168 at 1e6, 1290 at 1e7), so above the measured x the
-floor stays at isqrt(x).  Each routed report recomputes a few rows by
-direct passes (`_route_agreement`).
+floor stays at isqrt(x).  Each routed report recomputes up to 17 rows
+by direct passes, most of them just above the floor, where the worst
+gaps sit (`_route_agreement`).
 
 `stats.variance` imports this module only when Q > K, so a run whose
 moduli all stay at or below the floor does not compile it.
@@ -33,8 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -424,8 +424,7 @@ def _correlation_rows(field: FieldSpec, x: int, K: int, Q: int):
     return count, member_sq - 2 * mean * member_sum + count * mean * mean, outside
 
 
-@dataclass(frozen=True)
-class RouteAgreement:
+class RouteAgreement(NamedTuple):
     """Routed rows recomputed by direct passes: the q compared, the worst gap and its q.
 
     A cross-route check over one event table, not an independent oracle:
@@ -437,16 +436,38 @@ class RouteAgreement:
     q: int
 
 
-def _agreement_moduli(K: int, Q: int) -> tuple[int, ...]:
-    """The routed q that a report recomputes by direct passes: K + 1, Q, and three between, geometrically spaced."""
+#: routed q just above the floor that `_agreement_moduli` adds, and the
+#: top of their window (K, _NEAR_TOP * K]: the worst routed rows sit there
+_NEAR_FLOOR = 12
+_NEAR_TOP = 1.2
+
+
+def _agreement_moduli(K: int, Q: int, counts: np.ndarray) -> tuple[int, ...]:
+    """The routed q that a report recomputes by direct passes, ascending.
+
+    K + 1, Q and three q between, geometrically spaced, and the
+    _NEAR_FLOOR q in (K, 1.2 K] with the fewest admissible classes
+    (`counts[q - 1]`; the smaller q first on a tie).  The route's relative
+    error is largest just above the floor, at the q whose few classes
+    hold the largest means and so cancel the most.  Over every q on Q,
+    quad:-1, quad:5, cyclo:5 and cyclo:12, the worst routed row in
+    (K, 1.2 K] was among the 8 with the fewest classes at x = 1e5 and
+    1e6, and among the 12 at x = 1e7 on all but cyclo:12, where it was
+    the 13th (these 12 read 2.8e-11 against its 3.8e-11).
+    """
     ratio = Q / (K + 1)
-    return tuple(sorted({K + 1, Q} | {round((K + 1) * ratio ** (i / 4)) for i in (1, 2, 3)}))
+    top = min(Q, math.floor(_NEAR_TOP * K))
+    fewest = np.argsort(counts[K:top], kind="stable")[:_NEAR_FLOOR] + K + 1
+    spaced = {round((K + 1) * ratio ** (i / 4)) for i in (1, 2, 3)}
+    return tuple(sorted({K + 1, Q} | spaced | set(fewest.tolist())))
 
 
-def _route_agreement(field: FieldSpec, x: int, K: int, Q: int, contributions: np.ndarray) -> RouteAgreement:
+def _route_agreement(
+    field: FieldSpec, x: int, K: int, Q: int, counts: np.ndarray, contributions: np.ndarray
+) -> RouteAgreement:
     """The worst gap between routed contributions of q in (K, Q] and one direct pass each, at `_agreement_moduli`."""
     ev = norm_events(field, x)
-    moduli = _agreement_moduli(K, Q)
+    moduli = _agreement_moduli(K, Q, counts)
     gaps = [
         rel_gap(contributions[q - 1], _direct_row(field, x, q, class_weights(ev.n, ev.columns, q))[1])
         for q in moduli

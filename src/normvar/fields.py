@@ -20,9 +20,8 @@ e = degree / [(Z/m'Z)^* : H'], with e * f * g equal to the degree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,12 +47,14 @@ _FIELD_RE = re.compile(r"^(Q|quad:(-?\d+)|cyclo:(\d+))$")
 #   parse within 90 s.
 # So fields up to 1e6 set up within 10 s and 100 MiB, and anything above
 # is refused before computing; the cyclotomic discriminant, not quad,
-# sets that ceiling.  _pow_mod needs m^2 < 2^63 (m < 3.04e9).
+# sets that ceiling.  A parsed field builds it only when it is read
+# (`FieldSpec.discriminant`): cyclo:999983 runs `--format csv` in 1.1 s,
+# while a JSON report reads it, 4.1 s to refuse one whose discriminant
+# has too many digits to print.  _pow_mod needs m^2 < 2^63 (m < 3.04e9).
 MAX_CONDUCTOR = 1_000_000
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     """Immutable descriptor of one supported base field.
 
     Attributes:
@@ -61,15 +62,26 @@ class FieldSpec:
         parameter: squarefree d for quadratic, canonical m for cyclotomic,
             None for the rationals.
         degree: field degree over Q.
-        discriminant: field discriminant.
         conductor: smallest m with the field inside Q(zeta_m).
+
+    The discriminant is not held: it is read from `discriminant`, which
+    builds the cyclotomic one on first read, so parsing a field, hashing
+    it and every cache keyed by it stay cheap for any conductor.
     """
 
     variant: str
     parameter: Optional[int]
     degree: int
-    discriminant: int
     conductor: int
+
+    @property
+    def discriminant(self) -> int:
+        """Field discriminant: 1 for Q, d or 4d (the sign of d times the conductor) for quad:d, and for cyclo:m `_cyclotomic_discriminant(m)`, built on first read and cached."""
+        if self.variant == QUADRATIC:
+            return self.conductor if self.parameter > 0 else -self.conductor
+        if self.variant == CYCLOTOMIC:
+            return _cyclotomic_discriminant(self.parameter)
+        return 1
 
     def label(self) -> str:
         """Canonical parseable name: Q, quad:<d>, or cyclo:<m>."""
@@ -89,8 +101,7 @@ class FieldSpec:
         }
 
 
-@dataclass(frozen=True)
-class SplitData:
+class SplitData(NamedTuple):
     """Ramification index e, residue degree f, split count g for one prime."""
 
     e: int
@@ -99,7 +110,7 @@ class SplitData:
 
 
 def rational_field() -> FieldSpec:
-    return FieldSpec(RATIONAL, None, 1, 1, 1)
+    return FieldSpec(RATIONAL, None, 1, 1)
 
 
 def quadratic_field(d: int) -> FieldSpec:
@@ -113,7 +124,7 @@ def quadratic_field(d: int) -> FieldSpec:
         )
     if not is_squarefree(d):
         raise ValueError(f"quadratic parameter must be squarefree, got {d}")
-    return FieldSpec(QUADRATIC, d, 2, disc, abs(disc))
+    return FieldSpec(QUADRATIC, d, 2, abs(disc))
 
 
 def cyclotomic_field(m: int) -> FieldSpec:
@@ -131,13 +142,19 @@ def cyclotomic_field(m: int) -> FieldSpec:
         raise ValueError(
             f"conductor {m} of cyclo:{m} exceeds the supported ceiling {MAX_CONDUCTOR}"
         )
+    return FieldSpec(CYCLOTOMIC, m, euler_phi(m), m)
+
+
+@lru_cache(maxsize=16)
+def _cyclotomic_discriminant(m: int) -> int:
+    """Discriminant of Q(zeta_m) for canonical m > 2: a number of about phi(m) log2(m) bits."""
     deg = euler_phi(m)
     # |disc| = m^deg / prod_{p | m} p^(deg / (p-1)); sign is (-1)^(deg/2)
     disc = m**deg
     for p in factorize(m):
         disc //= p ** (deg // (p - 1))
     sign = -1 if (deg // 2) % 2 == 1 else 1
-    return FieldSpec(CYCLOTOMIC, m, deg, sign * disc, m)
+    return sign * disc
 
 
 def parse_field(text: str) -> FieldSpec:

@@ -25,9 +25,8 @@ every p^f mod q in one numpy pass and closes over the distinct values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,8 +36,7 @@ from .fields import FieldSpec, _pow_mod, kernel_image, residue_degrees
 from .sieve import primes_up_to
 
 
-@dataclass(frozen=True)
-class NormClassGroup:
+class NormClassGroup(NamedTuple):
     """Subgroup of residues modulo q realized by prime-power norms.
 
     Attributes:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .fields import FieldSpec
 from .galois import class_table_rows
@@ -52,8 +51,7 @@ _SCALARS = (str, int, float, type(None))
 _ROWS_PIECE = 256
 
 
-@dataclass(frozen=True)
-class Rows:
+class Rows(NamedTuple):
     """A JSON array of flat objects with the same keys, each written from one template.
 
     `specs` holds a format spec per key: "d" for an int, ".15g" for a

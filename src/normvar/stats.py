@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -169,8 +168,7 @@ def character_sum(field: FieldSpec, x: int, chi: DirichletCharacter) -> complex:
     return complex(np.dot(chi.value_table(), t))
 
 
-@dataclass(frozen=True)
-class OrthogonalityResult:
+class OrthogonalityResult(NamedTuple):
     q: int
     x: int
     lhs: float
@@ -196,20 +194,20 @@ def orthogonality_check(field: FieldSpec, x: int, q: int) -> OrthogonalityResult
     return OrthogonalityResult(q, x, lhs, rhs, abs(lhs - rhs) / max(lhs, 1.0))
 
 
-@dataclass(frozen=True)
-class DyadicBlock:
+class DyadicBlock(NamedTuple):
     u_lo: float
     u_hi: float
     contribution: float
 
 
-@dataclass(frozen=True, eq=False)
-class VarianceReport:
+class VarianceReport(NamedTuple):
     """Variance of class deviations over 1 <= q <= Q with envelope ratios.
 
     The rows are read-only columns: `per_q[q - 1]` is q's contribution
-    (float64) and `admissible[q - 1]` its class count (int64).  Arrays
-    make `==` ambiguous, so compare reports column by column.
+    (float64) and `admissible[q - 1]` its class count (int64).  As a
+    tuple holding arrays, a report is neither `==`-comparable (the
+    arrays make it ambiguous) nor hashable, so compare reports column by
+    column.
     `route_agreement` is None when every q took the direct passes.
     """
 
@@ -364,7 +362,7 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     (`correlation._direct_bound`), which takes them all at once
     (`correlation._correlation_rows`); its rows are not bit-identical to
     the direct ones, but within about 6e-11 relative, and the report
-    checks five of them (`correlation._route_agreement`).  The per-q
+    checks up to 17 of them (`correlation._route_agreement`).  The per-q
     rows are summed exactly, with `math.fsum`.
 
     Args:
@@ -417,7 +415,7 @@ def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> Variance
         from .correlation import _correlation_rows, _route_agreement
 
         counts[direct:], contributions[direct:], outside[direct:] = _correlation_rows(field, x, direct, Q)
-        agreement = _route_agreement(field, x, direct, Q, contributions)
+        agreement = _route_agreement(field, x, direct, Q, counts, contributions)
     counts.setflags(write=False)
     contributions.setflags(write=False)
     total = _fsum(contributions)
@@ -445,8 +443,7 @@ def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> Variance
     )
 
 
-@dataclass(frozen=True)
-class LargeSieveResult:
+class LargeSieveResult(NamedTuple):
     x: int
     Q: int
     lhs: float
@@ -499,8 +496,7 @@ def large_sieve_check(field: FieldSpec, x: int, Q: int) -> LargeSieveResult:
     return LargeSieveResult(x, Q, lhs, rhs, lhs <= rhs * (1 + REL_TOL))
 
 
-@dataclass(frozen=True)
-class ExchangeDiff:
+class ExchangeDiff(NamedTuple):
     """Difference between a character sum and its primitive part's sum.
 
     `direct` subtracts the two bucket-route sums; `explicit` accumulates

@@ -188,3 +188,46 @@ def test_character_factory_validates():
         nv.character(12, (1,))
     chi = nv.character(12, (1, 3))
     assert chi.exponents == (1, 1)
+
+
+def _primitive_part_by_fractions(chi):
+    """The primitive part as solved before the integer phases: Fraction rotations at lifted generators."""
+    if chi.primitive:
+        return chi
+    cond = chi.conductor
+    exps = []
+    for comp in nv.unit_group(cond).components:
+        n = comp.generator
+        while math.gcd(n, chi.q) != 1:
+            n += cond
+        scaled = chi.rotation(n) * comp.order
+        assert scaled.denominator == 1
+        exps.append(int(scaled) % comp.order)
+    return nv.character(cond, tuple(exps))
+
+
+def test_primitive_part_matches_the_fraction_solve():
+    for q in range(1, 61):
+        for chi in nv.enumerate_characters(q):
+            assert nv.primitive_part(chi) == _primitive_part_by_fractions(chi), (q, chi.exponents)
+
+
+def test_characters_of_separate_unit_groups_are_equal_values():
+    group_a, group_b = nv.UnitGroup(24), nv.UnitGroup(24)
+    assert group_a is not group_b
+    assert group_a == group_b and hash(group_a) == hash(group_b) and repr(group_a) == repr(group_b)
+    assert group_a != nv.UnitGroup(12)
+    for chi in nv.enumerate_characters(24):
+        twin = nv.DirichletCharacter(chi.q, chi.exponents, chi.conductor, chi.primitive, nv.UnitGroup(24))
+        assert twin.group is not chi.group
+        assert twin == chi and hash(twin) == hash(chi) and repr(twin) == repr(chi)
+
+
+def test_value_and_rotation_agree():
+    # `value` reads the integer phase, `rotation` the same phase as a Fraction
+    for q in (5, 12, 16, 45):
+        for chi in nv.enumerate_characters(q):
+            for n in range(q):
+                rot = chi.rotation(n)
+                expected = 0j if rot is None else complex(math.cos(2 * math.pi * rot), math.sin(2 * math.pi * rot))
+                assert chi.value(n) == expected, (q, chi.exponents, n)

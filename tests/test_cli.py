@@ -491,11 +491,14 @@ def test_route_agreement_is_reported_exactly_when_some_q_routes(Q, routed, capsy
         assert lines == [] and "route_agreement_max_gap" not in block
         return
     agreement = report.route_agreement
-    assert agreement.moduli == (51, 76, 113, 168, 250)
+    # every q of the window (50, 60] just above the floor, then three
+    # geometrically spaced and Q
+    moduli = tuple(range(51, 61)) + (76, 113, 168, 250)
+    assert agreement.moduli == moduli
     gap = reporting.format_float(agreement.gap, 3)
     assert lines == [
         f"PASS route-agreement: max gap {gap} at q={agreement.q} over the routed"
-        " q=[51, 76, 113, 168, 250]; cross-route, over one event table, not an independent oracle"
+        f" q={list(moduli)}; cross-route, over one event table, not an independent oracle"
     ]
     assert block["route_agreement_max_gap"] == float(reporting.format_float(agreement.gap))
 
@@ -622,6 +625,28 @@ if os.path.exists("/proc/self/status"):
     proc = _fresh_python(script, {**env, "OPENBLAS_NUM_THREADS": "2"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "2"
+
+
+def test_commands_load_no_dataclasses_fractions_or_decimal(tmp_path):
+    # the records are named tuples and primitive parts are solved in
+    # integers, so neither the import nor a command loads these modules
+    script = """
+import sys
+from normvar import cli
+unwanted = ("dataclasses", "fractions", "decimal")
+print([m for m in unwanted if m in sys.modules])
+out = sys.argv[1]
+# the variance run routes the q above the floor 50; checks reads primitive parts
+codes = [
+    cli.main(["variance", "--field", "quad:-1", "--x", "10000", "--Q", "250", "--out", out]),
+    cli.main(["checks", "--field", "cyclo:12", "--x", "10000", "--Q", "60", "--out", out]),
+]
+print(codes, "normvar.correlation" in sys.modules)
+print([m for m in unwanted if m in sys.modules])
+"""
+    proc = _fresh_python(script, dict(os.environ), str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[0, 0] True", "[]"]
 
 
 @pytest.mark.parametrize(

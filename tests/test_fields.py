@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import normvar as nv
+from normvar import fields
 from normvar.arith import kronecker
 from normvar.fields import _pow_mod, kernel_image
+from conftest import ORACLE_LABELS
 from naive_oracle import naive_primes, naive_split
 
 
@@ -187,3 +189,23 @@ def test_pow_mod_takes_scalar_and_array_exponents():
     assert _pow_mod(base, exps, m).tolist() == [pow(b, e, m) for b, e in zip(base.tolist(), exps.tolist())]
     assert _pow_mod(base, 6, m).tolist() == [pow(b, 6, m) for b in base.tolist()]
     assert _pow_mod(np.zeros(5, dtype=np.int64), 0, 1).tolist() == [0] * 5
+
+
+def test_cyclotomic_discriminant_is_built_on_first_read(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"discriminant of cyclo:{m} built")
+
+    monkeypatch.setattr(fields, "_cyclotomic_discriminant", refuse)
+    K = nv.parse_field("cyclo:999983")
+    assert (K.degree, K.conductor) == (999_982, 999_983)
+    assert K == nv.parse_field("cyclo:999983") and hash(K) == hash(nv.parse_field("cyclo:999983"))
+    assert nv.norm_class_group(K, 12).order == 4  # a cache keyed by the field
+    with pytest.raises(AssertionError, match="cyclo:999983 built"):
+        K.discriminant
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_two_parses_are_equal_and_hash_equal(label):
+    first, second = nv.parse_field(label), nv.parse_field(label)
+    assert first == second and hash(first) == hash(second)
+    assert first.as_dict() == second.as_dict()

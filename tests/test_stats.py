@@ -511,6 +511,23 @@ def test_route_floor_is_half_the_root_where_measured():
     assert stats.route_floor(2) == stats.route_floor(3) == stats.route_floor(4) == 1
 
 
+@pytest.mark.parametrize("K, Q", [(500, 10**4), (500, 560), (100, 110), (1, 7), (1581, 1582)])
+def test_agreement_moduli_take_the_fewest_classes_above_the_floor(K, Q):
+    # the 12 q in (K, 1.2 K] with the fewest classes, the smaller q first
+    # on a tie, beside K + 1, Q and three geometrically spaced q
+    counts = np.array([euler_phi(q) // (1 + (q % 4 == 0)) for q in range(1, Q + 1)])
+    moduli = correlation._agreement_moduli(K, Q, counts)
+    window = range(K + 1, min(Q, math.floor(1.2 * K)) + 1)
+    fewest = sorted(window, key=lambda q: (counts[q - 1], q))[:12]
+    ratio = Q / (K + 1)
+    spaced = {round((K + 1) * ratio ** (i / 4)) for i in (1, 2, 3)}
+    assert moduli == tuple(sorted({K + 1, Q, *spaced, *fewest}))
+    assert len(moduli) <= 17 and all(K < q <= Q for q in moduli)
+    if K == 500:
+        # wideq's worst routed row, quad:-1 at x = 1e6 (72 classes at q = 504)
+        assert 504 in moduli
+
+
 @pytest.mark.parametrize("x", [10**4, 10**4 + 200, 99 * 99 - 1])
 def test_routing_starts_above_the_floor(x):
     field = nv.rational_field()
