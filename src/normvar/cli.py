@@ -237,10 +237,17 @@ def _finish(results: list[Check]) -> int:
 
 
 def _report_field(args):
-    """Parse --field, refusing before any work a field a JSON report cannot hold."""
+    """Parse --field, refusing before any work a field a JSON report cannot hold.
+
+    A discriminant clearly longer than the interpreter's digit limit is
+    refused from its logarithm, unbuilt, with the error its `str` raises.
+    """
     field = parse_field(args.field)
     if args.format == "json":
         try:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and field.discriminant_log10() > limit + 1:
+                str(10**limit)  # limit + 1 digits
             to_json_bytes(field.as_dict())
         except ValueError as exc:
             msg = f"field {args.field} cannot be written to a JSON report: {exc}"

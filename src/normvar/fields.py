@@ -19,6 +19,7 @@ e = degree / [(Z/m'Z)^* : H'], with e * f * g equal to the degree.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -49,8 +50,9 @@ _FIELD_RE = re.compile(r"^(Q|quad:(-?\d+)|cyclo:(\d+))$")
 # is refused before computing; the cyclotomic discriminant, not quad,
 # sets that ceiling.  A parsed field builds it only when it is read
 # (`FieldSpec.discriminant`): cyclo:999983 runs `--format csv` in 1.1 s,
-# while a JSON report reads it, 4.1 s to refuse one whose discriminant
-# has too many digits to print.  _pow_mod needs m^2 < 2^63 (m < 3.04e9).
+# and a JSON report refuses a discriminant with too many digits to print
+# from its logarithm (`discriminant_log10`), where building it took 4.1 s.
+# _pow_mod needs m^2 < 2^63 (m < 3.04e9).
 MAX_CONDUCTOR = 1_000_000
 
 
@@ -82,6 +84,13 @@ class FieldSpec(NamedTuple):
         if self.variant == CYCLOTOMIC:
             return _cyclotomic_discriminant(self.parameter)
         return 1
+
+    def discriminant_log10(self) -> float:
+        """log10 |discriminant| without building it; for cyclo:m, phi(m) (log10 m - sum over p | m of log10(p) / (p - 1))."""
+        if self.variant != CYCLOTOMIC:
+            return math.log10(abs(self.discriminant))
+        m = self.parameter
+        return self.degree * (math.log10(m) - sum(math.log10(p) / (p - 1) for p in factorize(m)))
 
     def label(self) -> str:
         """Canonical parseable name: Q, quad:<d>, or cyclo:<m>."""

@@ -12,12 +12,17 @@ tables of every q <= Q come from few passes over the events
 (`_per_q_weights`): each q folds out of a pass whose modulus L is a
 common multiple of several targets q * (Q // q) in (Q/2, Q], with L
 within max(Q, min(#events // 16, 2^15)).  The variance loop and the
-large sieve both read them.  The event table holds every t_q with
-q <= _HELD_BOUND that any pass folds (`NormEventTable.held`), which
-covers every modulus the orthogonality, char-exchange and `variance`
-large-sieve checks read: so a command's checks read the t_q its first
-passes folded.  `class_weights` is the direct route for one q, and
-`residue_buckets` hands out the held t_q, or makes that direct pass.
+large sieve both read them.  Above `_SPLIT_WORK` passes times events,
+the variance loop runs every other pass in one forked worker
+(`normvar.forked`, imported only then; threads would not pay, as a pass
+holds the GIL); exact sums make its rows and t_q the serial loop's.
+Routing charges the serial passes, whatever the number of CPUs.  The
+event table holds every t_q with q <= _HELD_BOUND that any pass folds
+(`NormEventTable.held`), which covers every modulus the orthogonality,
+char-exchange and `variance` large-sieve checks read: so a command's
+checks read the t_q its first passes folded.  `class_weights` is the
+direct route for one q, and `residue_buckets` hands out the held t_q,
+or makes that direct pass.
 
 The variance report needs only the sum of squares of t_q over the
 admissible classes, not t_q itself, and for q > route_floor(x) it can
@@ -403,13 +408,26 @@ def _direct_row(field: FieldSpec, x: int, q: int, t: np.ndarray) -> tuple[int, f
     return count, dev @ dev, t[coprime & ~member].sum()
 
 
+#: passes x events above which `_variance` runs half of its passes in a
+#: forked worker where the process may use two CPUs: in process, split
+#: against serial lost 14 of 15 pairs at 10.0M and 11.3M, won 15 of 15
+#: at 15.3M and 15.7M; deepx is 167.6M, wideq's passes 6.7M
+_SPLIT_WORK = 16_000_000
+
+
 def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> VarianceReport:
     """The variance report with q <= `direct` on the direct passes and the larger q on the correlation route."""
     counts = np.zeros(Q, dtype=np.int64)
     contributions = np.zeros(Q)
     outside = np.zeros(Q)
-    for q, t in _per_q_weights(field, x, direct):
-        counts[q - 1], contributions[q - 1], outside[q - 1] = _direct_row(field, x, q, t)
+    # the direct - direct // 2 targets in (direct/2, direct] bound the passes
+    if (direct - direct // 2) * len(norm_events(field, x)) > _SPLIT_WORK:
+        from .forked import split_rows
+
+        split_rows(field, x, direct, (counts, contributions, outside))
+    else:
+        for q, t in _per_q_weights(field, x, direct):
+            counts[q - 1], contributions[q - 1], outside[q - 1] = _direct_row(field, x, q, t)
     agreement = None
     if direct < Q:
         from .correlation import _correlation_rows, _route_agreement

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import normvar as nv
-from normvar import cli, correlation, reporting, sieve, stats
+from normvar import cli, correlation, fields, reporting, sieve, stats
 from normvar.arith import euler_phi
 from normvar.cli import main
 from naive_oracle import naive_events
@@ -317,7 +317,9 @@ def test_rows_are_laid_out_as_json_dumps(monkeypatch):
 
 def test_runs_below_sqrt_x_leave_the_route_unloaded(tmp_path):
     # compiling `normvar.correlation` costs about 0.6 MiB of RSS, so checks,
-    # and a variance whose q all stay at most the floor 50, never load it
+    # and a variance whose q all stay at most the floor 50, never load it;
+    # and no run whose passes stay below the split's break-even loads
+    # `normvar.forked`, routed or not
     script = """
 import sys
 from normvar import cli
@@ -327,6 +329,10 @@ for argv in (["checks", "--field", "Q", "--x", "10000", "--Q", "30"],
 assert "normvar.correlation" not in sys.modules
 assert cli.main(["variance", "--field", "Q", "--x", "10000", "--Q", "51", "--out", sys.argv[1]]) == 0
 assert "normvar.correlation" in sys.modules
+for argv in (["checks", "--field", "quad:-1", "--x", "1000000", "--Q", "300"],
+             ["variance", "--field", "quad:-1", "--x", "100000", "--Q", "2000"]):
+    assert cli.main([*argv, "--out", sys.argv[1]]) == 0
+assert "normvar.forked" not in sys.modules
 """
     proc = _fresh_python(script, dict(os.environ), str(tmp_path / "report.json"))
     assert proc.returncode == 0, proc.stderr
@@ -541,6 +547,41 @@ def test_unserializable_field_fails_before_computing(command, monkeypatch, capsy
     code, out, err = run(capsys, command, "--field", "cyclo:2003", "--x", "100000", "--Q", "300")
     assert code == 2 and out == ""
     assert err.startswith("error: field cyclo:2003 ")
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["variance", "checks"])
+def test_long_discriminant_is_refused_unbuilt(command, monkeypatch, capsys):
+    # the discriminant of cyclo:999983 has about 6.0e6 digits, and building
+    # it took 4.1 s; the refusal is the error that str() of it raises
+    def refuse(m):
+        raise AssertionError(f"discriminant of cyclo:{m} built")
+
+    monkeypatch.setattr(fields, "_cyclotomic_discriminant", refuse)
+    code, out, err = run(capsys, command, "--field", "cyclo:999983", "--x", "1000", "--Q", "5")
+    with pytest.raises(ValueError) as limit:
+        str(10 ** sys.get_int_max_str_digits())
+    assert code == 2 and out == ""
+    assert err == f"error: field cyclo:999983 cannot be written to a JSON report: {limit.value}\n"
+
+
+@needs_digit_limit
+def test_discriminant_near_the_digit_limit_is_built(capsys):
+    # within a digit of the limit the discriminant is built and printed, or
+    # refused by str() itself
+    digits = len(str(abs(nv.parse_field("cyclo:1009").discriminant)))
+    limit = sys.get_int_max_str_digits()
+    try:
+        for allowed, expected in ((digits, 0), (digits - 1, 2)):
+            sys.set_int_max_str_digits(allowed)
+            code, out, err = run(capsys, "variance", "--field", "cyclo:1009", "--x", "1000", "--Q", "5")
+            assert code == expected, err
+            assert ("cannot be written to a JSON report" in err) == (expected == 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_unserializable_field_still_serves_tables(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,12 @@ def test_cyclotomic_discriminant_is_built_on_first_read(monkeypatch):
     assert nv.norm_class_group(K, 12).order == 4  # a cache keyed by the field
     with pytest.raises(AssertionError, match="cyclo:999983 built"):
         K.discriminant
+
+
+@pytest.mark.parametrize("label", [*ORACLE_LABELS, "quad:-249999", "cyclo:105", "cyclo:1009", "cyclo:2003"])
+def test_discriminant_log10_is_the_built_discriminants(label):
+    field = nv.parse_field(label)
+    assert field.discriminant_log10() == pytest.approx(math.log10(abs(field.discriminant)), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)
