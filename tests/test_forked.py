@@ -1,5 +1,6 @@
 """The variance passes split with one forked worker (`normvar.forked`) give the serial loop's bytes."""
 
+import errno
 import os
 import signal
 import threading
@@ -18,6 +19,9 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 #: x = 2e4 and Q = 120 lie above the route's floor 70, but the route costs
 #: more than the passes there, so every row and every held t_q is on them
 X, Q = 20_000, stats._HELD_BOUND
+#: x = 1e5 and Q = 3000 route every q above the floor 158, so the worker
+#: fills rows of q <= 158 in columns of length Q
+ROUTED_X, ROUTED_Q = 100_000, 3000
 
 
 @pytest.fixture
@@ -41,19 +45,20 @@ def forks(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def _report(capsys, tmp_path, label: str, fmt: str, name: str):
+def _report(capsys, tmp_path, label: str, fmt: str, name: str, x: int = X, bound: int = Q):
     """(exit code, stdout, stderr, report bytes) of a variance run over a fresh event table."""
     sieve._event_table.cache_clear()
     out = tmp_path / name
-    code = main(["variance", "--field", label, "--x", str(X), "--Q", str(Q), "--format", fmt, "--out", str(out)])
+    argv = ["variance", "--field", label, "--x", str(x), "--Q", str(bound), "--format", fmt, "--out", str(out)]
+    code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err, out.read_bytes()
 
 
-def _serial(capsys, tmp_path, label: str, fmt: str):
+def _serial(capsys, tmp_path, label: str, fmt: str, x: int = X, bound: int = Q):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stats, "_SPLIT_WORK", 10**18)
-        return _report(capsys, tmp_path, label, fmt, "serial")
+        return _report(capsys, tmp_path, label, fmt, "serial", x, bound)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -64,6 +69,16 @@ def test_split_reports_are_the_serial_bytes(label, fmt, forks, capsys, tmp_path)
     split = _report(capsys, tmp_path, label, fmt, "split")
     assert len(forks) == 1
     assert split == serial
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_routed_split_reports_the_serial_bytes(fmt, forks, capsys, tmp_path):
+    serial = _serial(capsys, tmp_path, "Q", fmt, ROUTED_X, ROUTED_Q)
+    assert forks == []
+    split = _report(capsys, tmp_path, "Q", fmt, "split", ROUTED_X, ROUTED_Q)
+    assert len(forks) == 1
+    assert split == serial
+    assert "PASS route-agreement: " in split[2]
 
 
 def test_split_holds_the_serial_t_q(field, forks):
@@ -85,8 +100,8 @@ def test_split_holds_the_serial_t_q(field, forks):
 
 
 def _in_worker(parent: int, action):
-    """A `_fill` that runs `action` first in the worker, and only there."""
-    real_fill = forked._fill
+    """A `stats._fill` that runs `action` first in the worker, and only there."""
+    real_fill = stats._fill
 
     def fill(*args):
         if os.getpid() != parent:
@@ -108,27 +123,31 @@ def test_a_failed_worker_costs_no_bytes(failure, forks, monkeypatch, capsys, tmp
         monkeypatch.setattr(forked, "_read_all", lambda fd: read_all(fd)[:-8])
     else:
         action = _raise if failure == "raises" else lambda: os.kill(os.getpid(), signal.SIGKILL)
-        monkeypatch.setattr(forked, "_fill", _in_worker(os.getpid(), action))
+        monkeypatch.setattr(stats, "_fill", _in_worker(os.getpid(), action))
     assert _report(capsys, tmp_path, "quad:-1", "json", "split") == serial
     assert len(forks) == 1
 
 
 def test_the_worker_is_reaped_when_the_parent_raises(forks, monkeypatch):
-    real_fill, parent = forked._fill, os.getpid()
+    real_fill, parent = stats._fill, os.getpid()
 
     def fill(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt  # while the worker runs its half
         real_fill(*args)
 
-    monkeypatch.setattr(forked, "_fill", fill)
+    monkeypatch.setattr(stats, "_fill", fill)
     sieve._event_table.cache_clear()
     with pytest.raises(KeyboardInterrupt):
         nv.variance(nv.rational_field(), X, Q)
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("setting", ["thread", "one cpu", "no fork", "few passes"])
+def _no_pipe():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+@pytest.mark.parametrize("setting", ["thread", "one cpu", "no fork", "no pipe", "few passes"])
 def test_serial_where_a_worker_may_not_run(setting, forks, monkeypatch, capsys, tmp_path):
     # a fork with a second thread may deadlock the child, and Python 3.12
     # warns on it: with filterwarnings = error that warning would fail here
@@ -141,13 +160,15 @@ def test_serial_where_a_worker_may_not_run(setting, forks, monkeypatch, capsys, 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     elif setting == "no fork":
         monkeypatch.delattr(os, "fork")
+    elif setting == "no pipe":
+        # out of file descriptors: the split falls back as from a failed fork
+        monkeypatch.setattr(os, "pipe", _no_pipe)
     else:
-        # the targets in (Q/2, Q] pass the gate in `stats`, but the plan's
-        # fewer passes do not pass the one in `forked`
+        # passes times events at the gate, not above it
         events = len(nv.norm_events(nv.rational_field(), X))
         monkeypatch.setattr(stats, "_SPLIT_WORK", len(stats._pass_plan(Q, stats._pass_budget(events))) * events)
     try:
-        assert forked.can_fork() == (setting == "few passes")
+        assert forked.can_fork() == (setting in ("no pipe", "few passes"))
         assert _report(capsys, tmp_path, "Q", "json", "split") == serial
     finally:
         if thread is not None:
@@ -158,9 +179,7 @@ def test_serial_where_a_worker_may_not_run(setting, forks, monkeypatch, capsys, 
 
 def test_split_only_above_the_break_even():
     # the bench workloads: deepx's passes split; wideq's below the route's
-    # floor and the checks' variance rows (q <= 50) do not load `forked`,
-    # as their targets in (Q/2, Q] bound their passes
+    # floor and the checks' variance rows (q <= 50) do not load `forked`
     for events, direct, splits in ((665_134, 1000, True), (39_392, 500, False), (78_734, 50, False)):
         plan = stats._pass_plan(direct, stats._pass_budget(events))
         assert (len(plan) * events > stats._SPLIT_WORK) == splits
-        assert ((direct - direct // 2) * events > stats._SPLIT_WORK) == splits

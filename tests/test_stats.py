@@ -6,13 +6,13 @@ import pytest
 
 import normvar as nv
 from normvar import correlation, sieve, stats
-from normvar.arith import divisors, euler_phi, moebius
+from normvar.arith import divisors, euler_phi
 from normvar.characters import unit_mask
 from normvar.fields import kernel_image
 from normvar.sieve import weight_slices
 from normvar.stats import class_weights
 from conftest import ORACLE_LABELS
-from naive_oracle import naive_variance
+from naive_oracle import moebius, naive_variance
 
 LOG2, LOG3, LOG5, LOG7 = math.log(2), math.log(3), math.log(5), math.log(7)
 
@@ -765,7 +765,8 @@ def _primitive_square_by_slices(q, t):
 def test_primitive_square_keeps_the_bits_of_the_slice_sums(label):
     field = nv.parse_field(label)
     moduli = []
-    for q, t in stats._per_q_weights(field, 10**5, 300):
+    ev = nv.norm_events(field, 10**5)
+    for q, t in stats._folded(ev, stats._pass_plan(300, stats._pass_budget(len(ev)))):
         if q % 4 != 2:
             assert stats._primitive_square(q, t) == _primitive_square_by_slices(q, t), q
             moduli.append(q)
@@ -804,9 +805,13 @@ def test_event_table_serves_the_checks_from_the_variance_passes(field, monkeypat
     for chi in nv.enumerate_characters(12):
         assert nv.character_sum(field, x, chi) == complex(np.dot(chi.value_table(), ev.held[12]))
     assert passes == []
-    # a bound above the held moduli makes passes of its own
+    # a bound above the held moduli makes the passes that fold one of its
+    # own, and no pass whose moduli are all held
     nv.large_sieve_check(field, x, Q + 1)
-    assert passes
+    plan = stats._pass_plan(Q + 1, stats._pass_budget(len(ev)))
+    made = [L for L, moduli in plan if max(moduli) > stats._HELD_BOUND]
+    assert 0 < len(made) < len(plan)
+    assert [modulus for _, _, modulus in passes] == made
 
 
 def test_a_new_event_table_holds_nothing(field, monkeypatch):
