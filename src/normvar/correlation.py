@@ -83,13 +83,13 @@ def _class_split(field: FieldSpec, ev: NormEventTable) -> tuple[int, np.ndarray,
     return M, dense, np.flatnonzero(~dense[residues])
 
 
-def _direct_bound(x: int, Q: int, events: int, columns: int, split: tuple[int, int, int]) -> int:
+def _direct_bound(field: FieldSpec, ev: NormEventTable, x: int, Q: int) -> int:
     """Largest q that the direct passes serve; every q above it, up to Q, takes the correlation route.
 
-    `columns` counts the complex weight columns of the event table (one
-    for every table measured), and `split` is (M, number of dense
-    classes, number of sparse events) of `_class_split`.  The routing
-    rule: the moduli q > K = `route_floor(x)` take the correlation route
+    `ev` is the event table of field up to x.  The costs read its events,
+    its complex weight columns (one for every table measured) and (M,
+    dense classes, sparse events) of `_class_split`.  The routing rule:
+    the moduli q > K = `route_floor(x)` take the correlation route
     (`_correlation_rows`) when it costs less than the direct work it
     replaces, else every q <= Q stays on the direct passes.  Below the
     floor, t_q is large next to its deviation, and the route's squares
@@ -126,7 +126,8 @@ def _direct_bound(x: int, Q: int, events: int, columns: int, split: tuple[int, i
     K = route_floor(x)
     if Q <= K:
         return Q
-    M, classes, sparse = split
+    M, dense, sparse = _class_split(field, ev)
+    classes, sparse, events, columns = np.count_nonzero(dense), sparse.size, len(ev), len(ev.columns)
     L, chunks = _chunking(x // M)
     pairs, points = classes * classes, 2 * L
     transforms = pairs * (chunks * chunks // _BAND + 2 * chunks)

@@ -12,13 +12,14 @@ conductor, contribute through their own (e, f, g) the same way.
 For unramified p, f depends only on p modulo the conductor m, so it is
 read from one table (`fields.residue_degrees`).  An event at p > isqrt(x)
 has k = 1, as p^2 > x, so every event but n = p at an unramified p with
-f = 1 has p <= isqrt(x) or p | m: `_small_events` makes those O(sqrt x)
-rows per residue degree and sorts them.  The rest are the primes
-p > isqrt(x) with f = 1, which the window sieve (`_sieve`, shared with
-`primes_up_to`) yields in ascending order, 2^20 numbers at a time as
-uint32; `_event_stream` keeps only their norms and merges the small rows
-in by rank, so no array of all primes up to x is held and nothing of the
-table's size is sorted.
+f = 1 has p <= isqrt(x) or p | m: `_small_events` makes all five columns
+of those O(sqrt x) small rows per residue degree and sorts them, the one
+producer of them for the table build and the columns alike.  The rest
+are the primes p > isqrt(x) with f = 1, which the window sieve (`_sieve`,
+shared with `primes_up_to`) yields in ascending order, 2^20 numbers at a
+time as uint32; `_event_stream` keeps only their norms and merges the
+small rows in by rank, so no array of all primes up to x is held and
+nothing of the table's size is sorted.
 
 The statistics read only n, the class sums of the weights w = dk * lam
 and the moments S1 = sum w and S2 = sum w^2, so `norm_events` is the one
@@ -27,8 +28,9 @@ slices whose sums are exact in any order (`weight_slices`, two float64
 slices for every table measured, held as the two lanes of one complex128
 column: 20 bytes per event), (S1, S2), and the class sums of the small
 moduli that `stats` folds out of them (`held`).  The weights are made a
-block at a time (`_weight_blocks`) straight into the column's imaginary
-lane, S2 is summed from it a block at a time, and the slices are peeled
+block at a time straight into the column's imaginary lane, as
+degree * log n, and the small rows' w = dk * lam are written over them;
+S2 is summed from the lane a block at a time, and the slices are peeled
 in place, so the build peaks at the table and one window: a child that
 builds the table of Q peaks above one that only imports normvar by 22.9
 bytes per event at x = 1e7 and by 20.2 at x = 1e8 (see
@@ -36,8 +38,9 @@ bytes per event at x = 1e7 and by 20.2 at x = 1e8 (see
 
 `event_columns` derives all five columns (n, p, k, dk, lam) from that
 table, with no second build: a row is a prime n = p with k = 1 and
-dk = degree unless it is one of the O(sqrt x) powers p^k, k >= 2, or a
-ramified p, which one `_prime_power_rows` search finds.
+dk = degree unless it is one of the small rows, whose columns
+`_small_events` makes again from the primes up to isqrt(x) and which
+one search of their norms finds in the table (`_odd_rows`).
 `event_column_blocks` derives them a block at a time, for the
 `dump-events` CSV.
 """
@@ -181,8 +184,8 @@ class EventColumns(NamedTuple):
     lam: np.ndarray
 
 
-def _event_arrays(x: int, primes: np.ndarray, f: int, g: int) -> Iterator[tuple]:
-    """Blocks (n, w) for ascending `primes` and every k = f*j <= log_p(x): n = p^k, w = g * f * log p."""
+def _event_arrays(x: int, primes: np.ndarray, f: int, g: int) -> Iterator[EventColumns]:
+    """Blocks of the columns for ascending `primes` and every k = f*j <= log_p(x): n = p^k, dk = g, lam = f * log p."""
     j = 1
     while True:
         k = f * j
@@ -192,12 +195,12 @@ def _event_arrays(x: int, primes: np.ndarray, f: int, g: int) -> Iterator[tuple]
         sel = primes[: np.searchsorted(primes, bound, side="right")]
         if sel.size:
             lam = f * np.log(sel.astype(np.float64))
-            yield (sel**k if k > 1 else sel), g * lam
+            yield EventColumns(sel**k if k > 1 else sel, sel, np.full_like(sel, k), np.full_like(sel, g), lam)
         j += 1
 
 
-def _small_events(field: FieldSpec, x: int, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """n (uint32) and w = dk * lam of the events at the primes `base` <= isqrt(x) and at the ramified p, sorted by n.
+def _small_events(field: FieldSpec, x: int, base: np.ndarray) -> EventColumns:
+    """The columns of the events at the primes `base` <= isqrt(x) and at the ramified p, sorted by n.
 
     Every other event is n = p > isqrt(x) at an unramified p with f = 1,
     as p^2 > x: O(sqrt x) rows besides those.
@@ -214,34 +217,26 @@ def _small_events(field: FieldSpec, x: int, base: np.ndarray) -> tuple[np.ndarra
         if p <= x:
             s = split_type(field, p)
             parts.extend(_event_arrays(x, np.array([p], dtype=np.int64), s.f, s.g))
-    n = np.concatenate([np.empty(0, dtype=np.int64), *(n for n, _ in parts)])
-    w = np.concatenate([np.empty(0), *(w for _, w in parts)])
-    order = np.argsort(n, kind="stable")
-    return n[order].astype(np.uint32), w[order]
+    empty = EventColumns(*(np.empty(0, dtype=np.int64),) * 4, np.empty(0))
+    small = EventColumns(*map(np.concatenate, zip(empty, *parts)))
+    # stable, though the n are distinct: the default sort of int64 would page
+    # in numpy's SIMD sort code, 0.2 MiB of peak RSS at x = 1e6
+    order = np.argsort(small.n, kind="stable")
+    return EventColumns(*(column[order] for column in small))
 
 
-def _weight_blocks(degree: int, n: np.ndarray, rows: np.ndarray, small_w: np.ndarray) -> Iterator[np.ndarray]:
-    """The weights of the events n, _SQUARE_BLOCK at a time: degree * log n, or small_w at `rows`."""
-    for lo in range(0, n.size, _SQUARE_BLOCK):
-        block = n[lo : lo + _SQUARE_BLOCK]
-        # g * (f * log p) at f = 1, g = degree, as _event_arrays makes it
-        w = degree * np.log(block.astype(np.float64))
-        at = slice(*np.searchsorted(rows, (lo, lo + block.size)).tolist())
-        w[rows[at] - lo] = small_w[at]
-        yield w
-
-
-def _event_stream(field: FieldSpec, x: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """n (uint32) of every event up to x, ascending, and their weights w = dk * lam a block at a time.
+def _event_stream(field: FieldSpec, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n (uint32) of every event up to x, ascending, and the rows of the small events in it and their w = dk * lam.
 
     The primes p > isqrt(x) with f = 1 come from the sieve in order, a
     window at a time, so only their norms are held and never sorted; the
-    O(sqrt x) other events are merged in by their ranks.
+    O(sqrt x) small events (`_small_events`) are merged in by their ranks.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     base, windows = _sieve(x)
-    small_n, small_w = _small_events(field, x, base)
+    small = _small_events(field, x, base)
+    small_n = small.n.astype(np.uint32)
     split, m = residue_degrees(field) == 1, field.conductor
     # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld); the
     # pages past the primes are never written, so they take no memory,
@@ -254,8 +249,7 @@ def _event_stream(field: FieldSpec, x: int) -> tuple[np.ndarray, Iterator[np.nda
         count += p.size
     large = large[:count]
     at = np.searchsorted(large, small_n)
-    n = np.insert(large, at, small_n)
-    return n, _weight_blocks(field.degree, n, at + np.arange(at.size), small_w)
+    return np.insert(large, at, small_n), at + np.arange(at.size), small.dk * small.lam
 
 
 #: a sum of multiples of a power of two u is exact while it stays below 2^53 u
@@ -354,13 +348,13 @@ def _peel(column: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=16)
 def _event_table(field: FieldSpec, x: int) -> NormEventTable:
-    n, blocks = _event_stream(field, x)
+    n, rows, small_w = _event_stream(field, x)
     column = np.empty(n.size, dtype=np.complex128)
     w = column.imag
-    lo = 0
-    for block in blocks:
-        w[lo : lo + block.size] = block
-        lo += block.size
+    for lo in range(0, n.size, _SQUARE_BLOCK):
+        # g * (f * log p) at f = 1, g = degree, as _event_arrays makes it
+        w[lo : lo + _SQUARE_BLOCK] = field.degree * np.log(n[lo : lo + _SQUARE_BLOCK].astype(np.float64))
+    w[rows] = small_w
     # fsum is exact, so summing the squares a block at a time gives the
     # same S2 as at once
     starts = range(0, n.size, _SQUARE_BLOCK)
@@ -411,25 +405,14 @@ def _prime_power_rows(n: np.ndarray, primes: list[int], x: int) -> tuple[np.ndar
 
 
 def _odd_rows(field: FieldSpec, n: np.ndarray, x: int) -> tuple[np.ndarray, EventColumns]:
-    """The rows of the sorted norms n at a p^k with k >= 2 or at a ramified p, and their columns.
+    """The rows of the sorted norms n at a p <= isqrt(x) or at a ramified p, and their columns (`_small_events`).
 
     Every other row is an event n = p at an unramified p, whose residue
     degree f divides k = 1: so f = 1, dk = degree and lam = log n.
     """
-    ramified = [p for p in factorize(field.conductor) if p <= x]
-    primes = sorted(set(primes_up_to(math.isqrt(x)).tolist()).union(ramified))
-    tag, k, rows = _prime_power_rows(n, primes, x)
-    order = np.argsort(rows)
-    rows, k, p = rows[order], k[order], np.array(primes, dtype=np.int64)[tag[order]]
-    # f is 0 exactly at the ramified primes, whose (f, g) split_type gives
-    f = residue_degrees(field)[p % field.conductor]
-    g = field.degree // np.maximum(f, 1)
-    for i in np.flatnonzero(f == 0).tolist():
-        s = split_type(field, int(p[i]))
-        f[i], g[i] = s.f, s.g
-    # lam = f * log p, the expression of _event_arrays, so the bits agree
-    lam = f * np.log(p.astype(np.float64))
-    return rows, EventColumns(n[rows].astype(np.int64), p, k, g, lam)
+    small = _small_events(field, x, _simple_sieve(math.isqrt(x)))
+    # in n's dtype, so searchsorted does not convert n
+    return np.searchsorted(n, small.n.astype(n.dtype)), small
 
 
 def _columns(degree: int, n: np.ndarray, lo: int, odd: tuple) -> EventColumns:

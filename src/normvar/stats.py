@@ -13,9 +13,9 @@ tables of every q <= Q come from few passes over the events
 multiple of several targets q * (Q // q) in (Q/2, Q], with L within
 max(Q, min(#events // 16, 2^15)).  One loop turns a plan into t_q
 (`_folded`) for the variance rows and the large sieve.  Above
-`_SPLIT_WORK` passes times events, every other variance pass runs in one
-forked worker (`normvar.forked`, imported only then; threads would not
-pay, as a pass holds the GIL) with the same loop and row fill (`_fill`);
+`_SPLIT_WORK` passes made times events, every other variance pass runs
+in one forked worker (`normvar.forked`, imported only then; threads would
+not pay, as a pass holds the GIL) with the same loop and row fill (`_fill`);
 exact sums make its rows and t_q the serial loop's.  Routing charges the
 serial passes, whatever the number of CPUs.  The event table holds every
 t_q with q <= _HELD_BOUND that any pass folds (`NormEventTable.held`),
@@ -327,13 +327,15 @@ def _pass_count(Q: int, budget: int) -> int:
     return Q - Q // 2 if Q >= budget else len(_pass_plan(Q, budget))
 
 
-def _folded(ev: NormEventTable, plan) -> Iterator[tuple[int, np.ndarray]]:
-    """(q, read-only t_q) for the moduli of each pass (L, moduli) of `plan`, holding those with q <= _HELD_BOUND.
+def _made(ev: NormEventTable, moduli: list[int]) -> bool:
+    """Whether `_folded` makes the pass of `moduli`: not when the event table holds all their t_q."""
+    return not all(q in ev.held for q in moduli)
 
-    A pass whose moduli the event table all holds is not made.
-    """
+
+def _folded(ev: NormEventTable, plan) -> Iterator[tuple[int, np.ndarray]]:
+    """(q, read-only t_q) for the moduli of each pass (L, moduli) of `plan`, holding those with q <= _HELD_BOUND; a pass not `_made` reads them held."""
     for L, moduli in plan:
-        tables = None if all(q in ev.held for q in moduli) else pass_tables(ev.n, ev.columns, L)
+        tables = pass_tables(ev.n, ev.columns, L) if _made(ev, moduli) else None
         for q in moduli:
             yield q, ev.held[q] if tables is None else _hold(ev, q, fold(tables, q))
 
@@ -386,11 +388,9 @@ def variance(field: FieldSpec, x: int, Q: int, M: int = 1) -> VarianceReport:
     if Q > route_floor(x):
         # imported only here: a run whose q all stay at or below the floor
         # does not compile the route (about 0.6 MiB of RSS)
-        from .correlation import _class_split, _direct_bound
+        from .correlation import _direct_bound
 
-        modulus, dense, sparse = _class_split(field, ev)
-        split = (modulus, np.count_nonzero(dense), sparse.size)
-        direct = _direct_bound(x, Q, len(ev), len(ev.columns), split)
+        direct = _direct_bound(field, ev, x, Q)
     return _variance(field, x, Q, M, direct)
 
 
@@ -421,7 +421,7 @@ def _variance(field: FieldSpec, x: int, Q: int, M: int, direct: int) -> Variance
     rows = counts, contributions, outside = np.zeros(Q, dtype=np.int64), np.zeros(Q), np.zeros(Q)
     ev = norm_events(field, x)
     plan = _pass_plan(direct, _pass_budget(len(ev)))
-    if len(plan) * len(ev) > _SPLIT_WORK:
+    if sum(_made(ev, moduli) for _, moduli in plan) * len(ev) > _SPLIT_WORK:
         from .forked import split_rows
 
         split_rows(field, x, ev, plan, rows)

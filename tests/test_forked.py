@@ -99,6 +99,23 @@ def test_split_holds_the_serial_t_q(field, forks):
     assert (report.total, report.outside_mass, report.dyadic) == (serial.total, serial.outside_mass, serial.dyadic)
 
 
+def test_no_worker_where_every_pass_is_held(field, forks):
+    # as in a `checks` run: the large sieve folds q <= 120 first, so the
+    # variance rows (q <= 50) make no pass, and no worker is forked for them
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats, "_SPLIT_WORK", 10**18)
+        sieve._event_table.cache_clear()
+        serial = nv.variance(field, X, 50)
+        sieve._event_table.cache_clear()
+        stats.large_sieve_check(field, X, Q)
+    assert sorted(nv.norm_events(field, X).held) == list(range(1, Q + 1))
+    report = nv.variance(field, X, 50)
+    assert forks == []
+    assert np.array_equal(report.per_q, serial.per_q)
+    assert np.array_equal(report.admissible, serial.admissible)
+    assert (report.total, report.outside_mass, report.dyadic) == (serial.total, serial.outside_mass, serial.dyadic)
+
+
 def _in_worker(parent: int, action):
     """A `stats._fill` that runs `action` first in the worker, and only there."""
     real_fill = stats._fill

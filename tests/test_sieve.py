@@ -210,10 +210,13 @@ def test_table_across_window_boundaries(label):
 
 @pytest.mark.parametrize("label, x", [("quad:13", 50), ("cyclo:20", 10), ("cyclo:1009", 10**5)])
 def test_table_with_a_ramified_prime_above_the_root(label, x):
-    # 13 > isqrt(50), 5 > isqrt(10) and 1009 > isqrt(1e5) are rows merged
-    # into the sieved primes, not taken from them
-    assert max(factorize(nv.parse_field(label).conductor)) > math.isqrt(x)
+    # 13 > isqrt(50), 5 > isqrt(10) and 1009 > isqrt(1e5) are small rows
+    # merged into the sieved primes, not taken from them; the five columns
+    # read the same small rows
+    field = nv.parse_field(label)
+    assert max(factorize(field.conductor)) > math.isqrt(x)
     _assert_table_is_the_reference(label, x)
+    _assert_table_matches_columns(field, x)
 
 
 _PEAKS = """
@@ -286,8 +289,9 @@ def test_second_moment_is_rounded_once_across_blocks(monkeypatch):
     # all three blocks sum to 3 + 3 * 2^-53, which rounds up to 3 + 2^-51
     w = np.array([1.0, 2.0**-27, 2.0**-27] * 3)
     monkeypatch.setattr(sieve, "_SQUARE_BLOCK", 3)
-    blocks = (w[lo : lo + 3] for lo in range(0, 9, 3))
-    monkeypatch.setattr(sieve, "_event_stream", lambda field, x: (np.arange(9, dtype=np.uint32), blocks))
+    # every row a small event with its weight; n >= 1, as log 0 would warn
+    stream = (np.arange(1, 10, dtype=np.uint32), np.arange(9), w)
+    monkeypatch.setattr(sieve, "_event_stream", lambda field, x: stream)
     table = sieve._event_table.__wrapped__(nv.rational_field(), 10)
     assert table.moments == (math.fsum(w.tolist()), 3 + 2.0**-51)
 

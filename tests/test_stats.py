@@ -303,9 +303,7 @@ def test_variance_rows_are_bit_identical_to_reference_loop(label, x, Q):
 
 def _direct_bound(field, x, Q):
     """`correlation._direct_bound` for the events of field up to x, as `variance` asks it."""
-    ev = nv.norm_events(field, x)
-    M, dense, sparse = correlation._class_split(field, ev)
-    return correlation._direct_bound(x, Q, len(ev), len(ev.columns), (M, np.count_nonzero(dense), sparse.size))
+    return correlation._direct_bound(field, nv.norm_events(field, x), x, Q)
 
 
 def _assert_routed_rows_match_direct(field, x, Q):
@@ -543,28 +541,46 @@ def test_routing_starts_above_the_floor(x):
     assert below.route_agreement is None
 
 
+class _Events:
+    """A stand-in event table of `events` norms in one weight column: the first `sparse` the powers 2^1, 2^2, ..., the rest 1."""
+
+    def __init__(self, events, sparse):
+        self.n = np.ones(events, dtype=np.uint32)
+        self.n[:sparse] = 2 ** np.arange(1, sparse + 1)
+        self.columns = (None,)
+
+    def __len__(self):
+        return self.n.size
+
+
 def test_routing_keeps_direct_passes_where_the_correlation_costs_more():
     # Q, x = 1e7 (665,134 events, 23 of them powers of 2) and x = 1e8
     # (5,762,859 events, 26 powers of 2), in one complex weight column
     # each: the correlation's transforms grow with x^2, the few passes it
-    # would replace with x / log x
-    split_7, split_8 = (2, 1, 23), (2, 1, 26)
-    assert len(nv.norm_events(nv.rational_field(), 10**5).columns) == 1
-    assert correlation._direct_bound(10**7, 4000, 665_134, 1, split_7) == 4000
-    assert correlation._direct_bound(10**8, 10_001, 5_762_859, 1, split_8) == 10_001
+    # would replace with x / log x.  The other events are odd, as 1 is:
+    # one dense class mod M = 2
+    field, events_7, events_8 = nv.rational_field(), _Events(665_134, 23), _Events(5_762_859, 26)
+    M, dense, sparse = correlation._class_split(field, events_7)
+    assert (M, np.count_nonzero(dense), sparse.size) == (2, 1, 23)
+    assert len(nv.norm_events(field, 10**5).columns) == 1
+    assert correlation._direct_bound(field, events_7, 10**7, 4000) == 4000
+    assert correlation._direct_bound(field, events_8, 10**8, 10_001) == 10_001
     # at x = 1e7, above the floor 1581, the direct passes took 6.1 s of
     # CPU and the route 7.6 s at Q = 8000, 9.0 s and 7.2 s at 10,000,
     # 26.7 s and 7.9 s at 20,000
-    assert correlation._direct_bound(10**7, 8000, 665_134, 1, split_7) == 8000
-    assert correlation._direct_bound(10**7, 10_000, 665_134, 1, split_7) == 1581
-    assert correlation._direct_bound(10**7, 20_000, 665_134, 1, split_7) == 1581
+    assert correlation._direct_bound(field, events_7, 10**7, 8000) == 8000
+    assert correlation._direct_bound(field, events_7, 10**7, 10_000) == 1581
+    assert correlation._direct_bound(field, events_7, 10**7, 20_000) == 1581
     # at x = 1e7 and Q = 1e5 the passes for q in (1581, 1e5] cost more
-    assert correlation._direct_bound(10**7, 10**5, 665_134, 1, split_7) == 1581
+    assert correlation._direct_bound(field, events_7, 10**7, 10**5) == 1581
     # quad:-1 (one dense class mod 4, 332,701 events) routes from a lower
     # Q than Q itself: its route covers x / 4 instead of x / 2; the direct
     # passes took 1.7 s and the route 2.3 s at Q = 5000, 4.1 s and 2.5 s at 8000
-    assert correlation._direct_bound(10**7, 5000, 332_701, 1, (4, 1, 23)) == 5000
-    assert correlation._direct_bound(10**7, 8000, 332_701, 1, (4, 1, 23)) == 1581
+    gauss, events = nv.parse_field("quad:-1"), _Events(332_701, 23)
+    M, dense, sparse = correlation._class_split(gauss, events)
+    assert (M, np.count_nonzero(dense), sparse.size) == (4, 1, 23)
+    assert correlation._direct_bound(gauss, events, 10**7, 5000) == 5000
+    assert correlation._direct_bound(gauss, events, 10**7, 8000) == 1581
 
 
 def test_divisors_between_lists_every_divisor_in_range():
